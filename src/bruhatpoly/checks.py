@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
+from itertools import islice
 
 from . import exactlp, parabolic, polytopes, rpoly
 from .errors import DomainError
@@ -33,18 +34,27 @@ from .perms import (
 SUITES = ("lifting", "dimension", "faces", "rpoly", "parabolic", "all")
 
 
+def _comparable(n: int):
+    perms = all_perms(n)
+    return ((u, v) for u in perms for v in perms if u != v and bruhat_leq(u, v))
+
+
 @lru_cache(maxsize=None)
 def comparable_pairs(n: int):
     """All (u, v) with u < v in S_n, lexicographic."""
-    perms = all_perms(n)
-    return tuple(
-        (u, v) for u in perms for v in perms if u != v and bruhat_leq(u, v)
-    )
+    return tuple(_comparable(n))
 
 
 def sampled_pairs(n: int, sample: int, seed: int):
     """Deterministic sample of comparable pairs u < v, drawn by seeded
-    rejection from S_n x S_n; repeats are discarded."""
+    rejection from S_n x S_n; repeats are discarded.  Raises DomainError
+    when S_n has fewer than sample such pairs, where rejection would never
+    end."""
+    found = sum(1 for _ in islice(_comparable(n), sample))
+    if found < sample:
+        raise DomainError(
+            f"sample {sample} exceeds the {found} comparable pairs u < v in S_{n}"
+        )
     rng = random.Random(seed)
     perms = all_perms(n)
     out = []

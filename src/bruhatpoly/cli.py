@@ -44,6 +44,16 @@ def _parse_transposition(text, n):
     return (i, k)
 
 
+def _int_at_least(low):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _parse_J(text, n):
     if text == "":
         return ()
@@ -173,7 +183,9 @@ def cmd_polytope(args):
         results["description"] = desc.to_json_dict()
     if args.faces:
         faces = polytopes.enumerate_faces(u, v)
-        results["f_vector"] = list(polytopes.f_vector(u, v))
+        results["f_vector"] = list(
+            polytopes.f_vector_of(faces, polytopes.dimension(u, v))
+        )
         results["faces"] = [
             {"x": format_perm(x), "y": format_perm(y), "dim": d}
             for x, y, d in faces
@@ -348,8 +360,9 @@ def build_parser():
 
     p = sub.add_parser("check", help="run a property suite")
     p.add_argument("suite", choices=checks.SUITES)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--sample", type=int, default=None)
+    # S_1 has no pair u < v, so every suite would pass vacuously
+    p.add_argument("--n", type=_int_at_least(2), default=4)
+    p.add_argument("--sample", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=7)
     global_options(p, suppress=True)
     p.set_defaults(func=cmd_check)

@@ -51,11 +51,16 @@ class BruhatInterval:
         return len(self.elements)
 
 
+def require_leq(u: Perm, v: Perm) -> None:
+    """Raise NotComparableError unless u <= v, the condition for [u, v]."""
+    if not bruhat_leq(u, v):
+        raise NotComparableError(f"{format_perm(u)} is not <= {format_perm(v)} in Bruhat order")
+
+
 @lru_cache(maxsize=None)
 def interval(u: Perm, v: Perm) -> BruhatInterval:
     """The interval [u, v]; BFS upward from u, pruned by comparison with v."""
-    if not bruhat_leq(u, v):
-        raise NotComparableError(f"{format_perm(u)} is not <= {format_perm(v)} in Bruhat order")
+    require_leq(u, v)
     elements = {u}
     frontier = [u]
     while frontier:

@@ -24,8 +24,9 @@ from .intervals import (
     chain_via_coatoms,
     coatom_transpositions,
     interval,
+    require_leq,
 )
-from .perms import Perm, bruhat_leq, format_perm, is_cover, length
+from .perms import Perm, bruhat_leq, cover_transposition, format_perm, is_cover, length
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,7 @@ def block_partition(u: Perm, v: Perm):
     """The partition of {1..n} whose blocks are the components of the atom
     graph; chain-independence makes this equal to the components of any
     maximal chain's graph, and of the coatom graph."""
-    interval(u, v)  # validates u <= v
+    require_leq(u, v)
     return atom_graph(u, v).components()
 
 
@@ -329,19 +330,30 @@ def _require_nested(x, y, u, v):
         )
 
 
-def face_graph(x: Perm, y: Perm, u: Perm, v: Perm) -> FaceGraph:
-    n = len(u)
-    _require_nested(x, y, u, v)
+def _face_graph(n, inner, up_y, down_x) -> FaceGraph:
+    """The face graph of [x, y] inside [u, v] from cover labels.
+
+    inner: the labels t with x < xt <= y; their graph's components are the
+    blocks of B_{x,y}.  up_y: the labels of the covers of y inside [u, v].
+    down_x: the labels of the cocovers of x inside [u, v].
+    """
     rep = [0] * n
-    for block in block_partition(x, y):
+    for block in _components(n, inner):
         for i in block:
             rep[i - 1] = block[0]
-    edges = set()
-    for i, j in atom_transpositions(y, v):  # covers of y inside [u,v]
-        edges.add((rep[i - 1], rep[j - 1]))
-    for i, j in coatom_transpositions(u, x):  # cocovers of x inside [u,v]
-        edges.add((rep[j - 1], rep[i - 1]))
+    edges = {(rep[i - 1], rep[j - 1]) for i, j in up_y}
+    edges.update((rep[j - 1], rep[i - 1]) for i, j in down_x)
     return FaceGraph(n, tuple(rep), frozenset(edges))
+
+
+def face_graph(x: Perm, y: Perm, u: Perm, v: Perm) -> FaceGraph:
+    _require_nested(x, y, u, v)
+    return _face_graph(
+        len(u),
+        atom_transpositions(x, y),
+        atom_transpositions(y, v),  # covers of y inside [u,v]
+        coatom_transpositions(u, x),  # cocovers of x inside [u,v]
+    )
 
 
 def is_face(x: Perm, y: Perm, u: Perm, v: Perm) -> bool:
@@ -350,28 +362,67 @@ def is_face(x: Perm, y: Perm, u: Perm, v: Perm) -> bool:
     return face_graph(x, y, u, v).is_acyclic()
 
 
-def enumerate_faces(u: Perm, v: Perm):
-    """All faces as triples (x, y, dim), deduplicated by vertex set and
-    sorted by (dim, x, y).  Counting by dim gives the f-vector."""
+def _cover_table(u: Perm, v: Perm):
+    """The covers of [u, v] indexed for face tests: (order, up, down, above).
+
+    order lists the elements sorted, so index order is permutation order.
+    up[i] holds (j, t) with order[j] = order[i] * t covering order[i],
+    sorted by j; down[i] holds the labels t of the cocovers of order[i].
+    above[i] is a bitset with bit j set iff order[i] <= order[j]: the
+    transitive closure of the covers, which inside an interval is Bruhat
+    order.
+    """
     I = interval(u, v)
-    seen = {}
-    for x in sorted(I.elements):
-        for y in sorted(I.elements):
-            if bruhat_leq(x, y) and is_face(x, y, u, v):
-                key = frozenset(interval(x, y).elements)
-                seen.setdefault(key, (x, y))
-    return sorted(
-        (x, y, dimension(x, y)) for x, y in seen.values()
-    )
+    order = sorted(I.elements)
+    index = {z: i for i, z in enumerate(order)}
+    up = [[] for _ in order]
+    down = [[] for _ in order]
+    for x, y in I.covers:
+        t = cover_transposition(x, y)
+        up[index[x]].append((index[y], t))
+        down[index[y]].append(t)
+    for row in up:
+        row.sort()
+    above = [0] * len(order)
+    for i in sorted(range(len(order)), key=lambda i: -length(order[i])):
+        bits = 1 << i
+        for j, _t in up[i]:
+            bits |= above[j]
+        above[i] = bits
+    return order, up, down, above
 
 
-def f_vector(u: Perm, v: Perm):
-    faces = enumerate_faces(u, v)
-    top = dimension(u, v)
+def enumerate_faces(u: Perm, v: Perm):
+    """All faces as triples (x, y, dim), one for each pair x <= y in [u, v]
+    that passes the face criterion, sorted by (x, y, dim).  A face is fixed
+    by its Bruhat minimum and maximum, so no two triples share a vertex set.
+    Counting by dim gives the f-vector."""
+    n = len(u)
+    order, up, down, above = _cover_table(u, v)
+    up_labels = [[t for _j, t in row] for row in up]
+    faces = []
+    for i, x in enumerate(order):
+        bits = above[i]
+        while bits:
+            j = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            inner = [t for k, t in up[i] if above[k] >> j & 1]
+            G = _face_graph(n, inner, up_labels[j], down[i])
+            if G.is_acyclic():
+                faces.append((x, order[j], n - len(G.nodes())))
+    return faces
+
+
+def f_vector_of(faces, top: int):
+    """Face counts by dimension 0..top of a list of (x, y, dim) triples."""
     counts = [0] * (top + 1)
     for _x, _y, d in faces:
         counts[d] += 1
     return tuple(counts)
+
+
+def f_vector(u: Perm, v: Perm):
+    return f_vector_of(enumerate_faces(u, v), dimension(u, v))
 
 
 def normal_cone(x: Perm, y: Perm, u: Perm, v: Perm):
@@ -413,21 +464,36 @@ def face_min_max(perms):
 # ---------------------------------------------------------------------------
 
 
+def _skeleton(u: Perm, v: Perm):
+    """The sorted elements of [u, v] and the index pairs (i, j), sorted, of
+    its covers that span polytope edges.  For a cover x < y the only label
+    t with x < xt <= y is the cover's own."""
+    n = len(u)
+    order, up, down, _above = _cover_table(u, v)
+    edges = [
+        (i, j)
+        for i, row in enumerate(up)
+        for j, t in row
+        if _face_graph(n, [t], [s for _k, s in up[j]], down[i]).is_acyclic()
+    ]
+    return order, edges
+
+
 def skeleton_edges(u: Perm, v: Perm):
     """Cover pairs of the interval that span polytope edges."""
-    I = interval(u, v)
-    return sorted((x, y) for x, y in I.covers if is_face(x, y, u, v))
+    order, edges = _skeleton(u, v)
+    return [(order[i], order[j]) for i, j in edges]
 
 
 def diameter(u: Perm, v: Perm) -> int:
     """Graph diameter of the 1-skeleton (BFS from every vertex)."""
-    I = interval(u, v)
-    adj = {z: set() for z in I.elements}
-    for x, y in skeleton_edges(u, v):
-        adj[x].add(y)
-        adj[y].add(x)
+    order, edges = _skeleton(u, v)
+    adj = [[] for _ in order]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
     best = 0
-    for start in I.elements:
+    for start in range(len(order)):
         dist = {start: 0}
         frontier = [start]
         while frontier:
@@ -438,7 +504,7 @@ def diameter(u: Perm, v: Perm) -> int:
                         dist[b] = dist[a] + 1
                         nxt.append(b)
             frontier = nxt
-        if len(dist) != len(I.elements):
+        if len(dist) != len(order):
             raise AssertionError("1-skeleton is disconnected")
         best = max(best, max(dist.values()))
     return best

@@ -125,3 +125,22 @@ def test_output_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "--format", "json", "polytope", "1324", "2431")
     _, out2, _ = run_cli(capsys, "--format", "json", "polytope", "1324", "2431")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "lifting", "--n", "0"),
+    ("check", "lifting", "--n", "1"),
+    ("check", "lifting", "--n", "3", "--sample", "0"),
+])
+def test_check_rejects_empty_runs(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+def test_check_sample_beyond_comparable_pairs(capsys):
+    # S_3 has 13 pairs u < v; rejection sampling 100 of them would not end
+    code, out, err = run_cli(capsys, "check", "lifting", "--n", "3", "--sample", "100")
+    assert code == 3
+    assert out == ""
+    assert "13 comparable pairs" in err

@@ -1,9 +1,17 @@
 import pytest
 
 from bruhatpoly import exactlp
-from bruhatpoly.errors import DomainError
+from bruhatpoly.checks import comparable_pairs, sampled_pairs
+from bruhatpoly.errors import DomainError, NotComparableError
 from bruhatpoly.intervals import all_maximal_chains, interval
-from bruhatpoly.perms import all_perms, bruhat_leq, length, parse_perm
+from bruhatpoly.perms import (
+    all_perms,
+    bruhat_leq,
+    identity,
+    length,
+    longest_element,
+    parse_perm,
+)
 from bruhatpoly.polytopes import (
     affine_span_equations,
     atom_graph,
@@ -135,6 +143,47 @@ def test_enumerate_faces_and_f_vector():
     assert tuple(f_vector(u, v)) == (8, 12, 6, 1)
     for x, y, d in faces:
         assert d == dimension(x, y)
+
+
+def test_enumerate_faces_matches_face_criterion():
+    """On all of S_4 (u = v included) and seeded S_5 pairs: the faces are
+    exactly the pairs x <= y passing is_face, in (x, y) order, with the
+    dimension of [x, y], and the f-vector satisfies Euler's relation."""
+    pairs = (
+        [(z, z) for z in all_perms(4)]
+        + list(comparable_pairs(4))
+        + list(sampled_pairs(5, 200, seed=11))
+    )
+    for u, v in pairs:
+        els = sorted(interval(u, v).elements)
+        expected = [
+            (x, y) for x in els for y in els
+            if bruhat_leq(x, y) and is_face(x, y, u, v)
+        ]
+        faces = enumerate_faces(u, v)
+        assert [(x, y) for x, y, _ in faces] == expected
+        assert all(d == dimension(x, y) for x, y, d in faces)
+        f = f_vector(u, v)
+        assert len(f) == dimension(u, v) + 1
+        assert sum((-1) ** i * c for i, c in enumerate(f)) == 1
+
+
+def test_f_vector_s6_full_interval():
+    assert f_vector(identity(6), longest_element(6)) == (720, 1800, 1560, 540, 62, 1)
+
+
+def test_face_enumeration_builds_only_its_own_interval():
+    u, v = identity(5), longest_element(5)
+    interval.cache_clear()
+    assert dimension(u, v) == 4
+    assert interval.cache_info().currsize == 0
+    enumerate_faces(u, v)
+    assert interval.cache_info().currsize <= 1
+
+
+def test_block_partition_rejects_incomparable():
+    with pytest.raises(NotComparableError, match=r"^2431 is not <= 1324 in Bruhat order$"):
+        block_partition(P("2431"), P("1324"))
 
 
 def test_face_min_max():

@@ -18,7 +18,6 @@ from .intervals import (
     coatoms,
     generalized_lift,
     interval,
-    interval_elements,
     inversion_inversion_check,
     inversion_minimal_transpositions,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "generalized_r_identity",
     "identity",
     "interval",
-    "interval_elements",
     "interval_matroid",
     "inverse",
     "inversion_inversion_check",

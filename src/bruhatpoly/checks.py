@@ -1,5 +1,5 @@
 """Batch property suites: every theorem-shaped statement in the package,
-run exhaustively over S_n (n <= 4) or on seeded samples (n = 5).
+run exhaustively over S_n (n <= 4) or on seeded samples (any n).
 
 Each suite returns a JSON-able report dict with per-property counts, an
 explicit failure list (expected empty), and an overall "pass" flag.  The
@@ -30,9 +30,6 @@ from .perms import (
     identity,
     length,
 )
-
-SUITES = ("lifting", "dimension", "faces", "rpoly", "parabolic", "all")
-
 
 def _comparable(n: int):
     perms = all_perms(n)
@@ -66,20 +63,6 @@ def sampled_pairs(n: int, sample: int, seed: int):
             seen.add((u, v))
             out.append((u, v))
     return tuple(out)
-
-
-def _report(suite, n, pairs, counts, failures, extra=None):
-    doc = {
-        "suite": suite,
-        "n": n,
-        "pairs": len(pairs),
-        "counts": counts,
-        "failures": failures,
-        "pass": not failures,
-    }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def _pair_name(u, v):
@@ -124,9 +107,7 @@ def dimension_pair(pair):
     ):
         failures.append(f"{_pair_name(u, v)}: atom/coatom graph has an increasing cycle")
 
-    V = polytopes.vertices(u, v)
-    if polytopes.dimension(u, v) != exactlp.affine_rank(V):
-        failures.append(f"{_pair_name(u, v)}: dimension != affine rank")
+    failures += dimension_rank_pair(pair)["failures"]
 
     desc = polytopes.bip_inequalities(u, v)
     inside = frozenset(I.elements)
@@ -182,8 +163,7 @@ def faces_pair(pair):
         if set(F) != set(interval(x, y).elements):
             failures.append(f"{_pair_name(u, v)}: face at {w} is not an interval")
 
-    if polytopes.diameter(u, v) != I.rank:
-        failures.append(f"{_pair_name(u, v)}: diameter != rank")
+    failures += diameter_pair(pair)["failures"]
     adj = {z: [] for z in els}
     for x, y in polytopes.skeleton_edges(u, v):
         adj[x].append(y)
@@ -248,6 +228,8 @@ def minkowski_pair(pair):
     }
 
 
+# the sampled workers of the faces and dimension suites; their exhaustive
+# workers run them too
 def diameter_pair(pair):
     u, v = pair
     failures = []
@@ -271,10 +253,23 @@ def _map(worker, items, jobs):
     return [worker(item) for item in items]
 
 
-def _collect(suite, n, pairs, results, count_keys, extra=None):
-    counts = {key: sum(r.get(key, 0) for r in results) for key in count_keys}
+def _collect(suite, n, pairs, results):
+    """The report of one suite: every key but "failures" of the workers'
+    results is a count, summed over the results."""
+    counts = {}
+    for r in results:
+        for key, value in r.items():
+            if key != "failures":
+                counts[key] = counts.get(key, 0) + value
     failures = [f for r in results for f in r["failures"]]
-    return _report(suite, n, pairs, counts, failures, extra)
+    return {
+        "suite": suite,
+        "n": n,
+        "pairs": len(pairs),
+        "counts": counts,
+        "failures": failures,
+        "pass": not failures,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -282,30 +277,23 @@ def _collect(suite, n, pairs, results, count_keys, extra=None):
 # ---------------------------------------------------------------------------
 
 
-def suite_lifting(n=4, pairs=None, jobs=1):
+# suite -> (worker over every pair of S_n, worker for sampled pairs); the
+# sampled workers skip the checks that are exhaustive over [u, v]
+PAIR_SUITES = {
+    "lifting": (lifting_pair, lifting_pair),
+    "dimension": (dimension_pair, dimension_rank_pair),
+    "faces": (faces_pair, diameter_pair),
+    "rpoly": (rpoly_pair, rpoly_pair),
+}
+SUITES = (*PAIR_SUITES, "parabolic", "all")
+
+
+def suite_pairs(name, n=4, pairs=None, sampled=False, jobs=1):
+    """One suite of PAIR_SUITES over pairs (default: every comparable pair
+    of S_n), with its sampled worker when sampled is true."""
     pairs = pairs if pairs is not None else comparable_pairs(n)
-    return _collect(
-        "lifting", n, pairs, _map(lifting_pair, pairs, jobs), ("transpositions",)
-    )
-
-
-def suite_dimension(n=4, pairs=None, jobs=1):
-    pairs = pairs if pairs is not None else comparable_pairs(n)
-    return _collect(
-        "dimension", n, pairs, _map(dimension_pair, pairs, jobs), ("chains",)
-    )
-
-
-def suite_faces(n=4, pairs=None, jobs=1):
-    pairs = pairs if pairs is not None else comparable_pairs(n)
-    return _collect("faces", n, pairs, _map(faces_pair, pairs, jobs), ("lp_tests",))
-
-
-def suite_rpoly(n=4, pairs=None, jobs=1):
-    pairs = pairs if pairs is not None else comparable_pairs(n)
-    return _collect(
-        "rpoly", n, pairs, _map(rpoly_pair, pairs, jobs), ("transpositions",)
-    )
+    worker = PAIR_SUITES[name][sampled]
+    return _collect(name, n, pairs, _map(worker, pairs, jobs))
 
 
 def _parabolic_subsets(n):
@@ -324,7 +312,7 @@ def suite_parabolic(n=4, jobs=1):
             if parabolic.is_min_rep(v, J) and bruhat_leq(u, v):
                 instances.append((u, v, J))
     results = _map(parabolic_instance, instances, jobs)
-    report = _collect("parabolic", n, instances, results, ("faces",))
+    report = _collect("parabolic", n, instances, results)
 
     # cross-stratum coincidence: distinct intervals, identical point sets
     if n == 4:
@@ -368,15 +356,10 @@ def minkowski_experiment(n=4, jobs=1):
 
 
 def suite_sampled(n=5, sample=500, seed=7, jobs=1):
-    """The sampled large-n suite: lifting, dimension-vs-rank, generalized
-    R-recurrence, and diameter on seeded comparable pairs."""
+    """The sampled large-n suite: every suite of PAIR_SUITES, with its
+    sampled worker, on one draw of seeded comparable pairs."""
     pairs = sampled_pairs(n, sample, seed)
-    parts = [
-        _collect("lifting", n, pairs, _map(lifting_pair, pairs, jobs), ("transpositions",)),
-        _collect("dimension", n, pairs, _map(dimension_rank_pair, pairs, jobs), ()),
-        _collect("rpoly", n, pairs, _map(rpoly_pair, pairs, jobs), ("transpositions",)),
-        _collect("diameter", n, pairs, _map(diameter_pair, pairs, jobs), ()),
-    ]
+    parts = [suite_pairs(suite, n, pairs, True, jobs) for suite in PAIR_SUITES]
     return {
         "suite": "sampled",
         "n": n,
@@ -395,33 +378,16 @@ def run_suite(name, n=4, sample=None, seed=7, jobs=1):
     if n > 4 and sample is None:
         raise DomainError(f"exhaustive suites are limited to n <= 4; pass --sample for n={n}")
     if sample is not None:
-        pairs = sampled_pairs(n, sample, seed)
         if name == "all":
             return suite_sampled(n, sample, seed, jobs)
-        if name == "lifting":
-            return suite_lifting(n, pairs, jobs)
-        if name == "dimension":
-            return _collect("dimension", n, pairs, _map(dimension_rank_pair, pairs, jobs), ())
-        if name == "faces":
-            return _collect("diameter", n, pairs, _map(diameter_pair, pairs, jobs), ())
-        if name == "rpoly":
-            return suite_rpoly(n, pairs, jobs)
-        raise DomainError(f"suite {name!r} has no sampled mode")
-    if name == "lifting":
-        return suite_lifting(n, jobs=jobs)
-    if name == "dimension":
-        return suite_dimension(n, jobs=jobs)
-    if name == "faces":
-        return suite_faces(n, jobs=jobs)
-    if name == "rpoly":
-        return suite_rpoly(n, jobs=jobs)
+        if name not in PAIR_SUITES:
+            raise DomainError(f"suite {name!r} has no sampled mode")
+        return suite_pairs(name, n, sampled_pairs(n, sample, seed), True, jobs)
+    if name in PAIR_SUITES:
+        return suite_pairs(name, n, jobs=jobs)
     if name == "parabolic":
         return suite_parabolic(n, jobs=jobs)
-    parts = [
-        suite_lifting(n, jobs=jobs),
-        suite_dimension(n, jobs=jobs),
-        suite_faces(n, jobs=jobs),
-        suite_rpoly(n, jobs=jobs),
+    parts = [suite_pairs(suite, n, jobs=jobs) for suite in PAIR_SUITES] + [
         suite_parabolic(n, jobs=jobs),
         minkowski_experiment(n, jobs=jobs),
     ]

@@ -317,7 +317,7 @@ def build_parser():
         )
         p.add_argument(
             "--jobs",
-            type=int,
+            type=_int_at_least(1),
             default=default if suppress else 1,
             help="worker processes for suites",
         )

@@ -6,8 +6,9 @@ path.  The simplex uses Bland's rule, which guarantees termination, and the
 strict-separation face test is normalized with box bounds on the functional
 so that the margin LP is bounded.
 
-Scale guards: these routines are meant for desk-scale instances (point sets
-from S_n with n <= 5); they are not a general-purpose LP library.
+Scale guards: the LP routines are meant for desk-scale instances (point
+sets from S_n with n <= 5); they are not a general-purpose LP library.  The
+integer rank computation has no such guard.
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ def _check_points(points):
     dim = len(points[0])
     if any(len(p) != dim for p in points):
         raise DomainError("points of mixed dimension")
+    return dim
+
+
+def _check_lp_points(points):
+    """_check_points plus the scale guard of the LP entry points."""
+    dim = _check_points(points)
     if len(points) > MAX_POINTS or dim > MAX_DIM:
         raise DomainError(
             f"scale guard exceeded: {len(points)} points in dimension {dim}"
@@ -212,7 +219,7 @@ def solve_eq_lp(A, b, c):
 def hull_membership(q, points) -> bool:
     """True iff q lies in the convex hull of points (exact feasibility LP
     on the barycentric weights)."""
-    dim = _check_points(points)
+    dim = _check_lp_points(points)
     if len(q) != dim:
         raise DomainError(f"dimension mismatch: {len(q)} vs {dim}")
     m = len(points)
@@ -231,7 +238,7 @@ def is_face(S, V) -> bool:
     than w.t for every t in V \\ S, by maximizing the margin delta subject
     to box bounds -1 <= w_i <= 1.  Face iff the optimal margin is positive.
     """
-    dim = _check_points(V)
+    dim = _check_lp_points(V)
     sset = {tuple(s) for s in S}
     if not sset:
         raise DomainError("empty face candidate")
@@ -299,7 +306,7 @@ def face_vertices(w, V):
 
 def extreme_points(points):
     """The extreme points: p is kept iff it is not in the hull of the rest."""
-    _check_points(points)
+    _check_lp_points(points)
     uniq = sorted({tuple(p) for p in points})
     out = []
     for i, p in enumerate(uniq):

@@ -77,10 +77,6 @@ def interval(u: Perm, v: Perm) -> BruhatInterval:
     return BruhatInterval(u, v, frozenset(elements), covers)
 
 
-def interval_elements(u: Perm, v: Perm) -> frozenset:
-    return interval(u, v).elements
-
-
 def atoms(I: BruhatInterval):
     """The covers of u inside the interval, with their transpositions."""
     return sorted(
@@ -107,27 +103,18 @@ def coatom_transpositions(u: Perm, v: Perm):
 
 def is_inversion_minimal(u: Perm, v: Perm, t: Transposition) -> bool:
     """True iff [i,k] is inclusion-minimal with v_i > v_k and u_i < u_k."""
-    if len(u) != len(v):
-        raise DomainError(f"size mismatch: {len(u)} vs {len(v)}")
-    i, k = t
-    if not (1 <= i < k <= len(u)):
-        raise DomainError(f"bad transposition {t!r} for n={len(u)}")
-    if not (v[i - 1] > v[k - 1] and u[i - 1] < u[k - 1]):
-        return False
-    for p in range(i, k + 1):
-        for q in range(p + 1, k + 1):
-            if (p, q) == (i, k):
-                continue
-            if v[p - 1] > v[q - 1] and u[p - 1] < u[q - 1]:
-                return False
-    return True
+    return minimality_violation(u, v, t) is None
 
 
 def minimality_violation(u: Perm, v: Perm, t: Transposition):
     """Why t = (i, k) fails to be inversion-minimal on (u, v): either the
     endpoints do not satisfy v_i > v_k, u_i < u_k, or a proper subinterval
     (p, q) of positions does; None when t is inversion-minimal."""
+    if len(u) != len(v):
+        raise DomainError(f"size mismatch: {len(u)} vs {len(v)}")
     i, k = t
+    if not (1 <= i < k <= len(u)):
+        raise DomainError(f"bad transposition {t!r} for n={len(u)}")
     if not (v[i - 1] > v[k - 1] and u[i - 1] < u[k - 1]):
         return {"reason": "endpoints", "positions": (i, k)}
     for p in range(i, k + 1):

@@ -143,9 +143,10 @@ def parabolic_faces_check(u: Perm, v: Perm, J) -> dict:
         list(extremes) == V and len(V) == len(cosets)
     )
 
+    dims = {F: exactlp.affine_rank(sorted(F)) for F in faces}
     edges_ok = True
     for F in faces:
-        if len(F) == 2 and exactlp.affine_rank(sorted(F)) == 1:
+        if len(F) == 2 and dims[F] == 1:
             p1, p2 = sorted(F)
             if not any(
                 {pt[x], pt[y]} == {p1, p2}
@@ -155,10 +156,8 @@ def parabolic_faces_check(u: Perm, v: Perm, J) -> dict:
                 edges_ok = False
 
     by_dim = {}
-    for F in faces:
-        by_dim[exactlp.affine_rank(sorted(F))] = by_dim.get(
-            exactlp.affine_rank(sorted(F)), 0
-        ) + 1
+    for d in dims.values():
+        by_dim[d] = by_dim.get(d, 0) + 1
 
     return {
         "u": u,

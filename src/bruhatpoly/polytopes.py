@@ -184,10 +184,6 @@ def interval_matroid(u: Perm, v: Perm, k: int, convention: str = "first-values")
     return Matroid(n, k, bases)
 
 
-def matroid_rank(M: Matroid, A) -> int:
-    return M.rank(A)
-
-
 @dataclass(frozen=True)
 class PolytopeDescription:
     vertices: tuple  # integer vectors

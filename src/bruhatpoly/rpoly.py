@@ -29,7 +29,6 @@ from .perms import (
     descents,
     format_perm,
     identity,
-    is_cover,
     length,
     simple_reflection,
 )
@@ -128,7 +127,10 @@ def _least_right_descent(v: Perm) -> int:
     return min(descents(v))
 
 
-_R_CACHE: dict = {}
+# Memo of the least-right-descent recursion, keyed by (tilde, u, v); cleared
+# when a call starts with more than MEMO_LIMIT entries.
+MEMO_LIMIT = 20_000
+_MEMO: dict = {}
 
 
 def r_polynomial(u: Perm, v: Perm, descent_choice=None) -> IntPolynomial:
@@ -136,59 +138,55 @@ def r_polynomial(u: Perm, v: Perm, descent_choice=None) -> IntPolynomial:
 
     descent_choice(v) may override which right descent of v drives the
     recursion (the result is independent of it; tests exploit this);
-    overridden runs bypass the memo table.
+    overridden runs keep a memo of their own for the one call.
     """
-    if len(u) != len(v):
-        raise DomainError(f"size mismatch: {len(u)} vs {len(v)}")
-    cache = _R_CACHE if descent_choice is None else None
-    chooser = descent_choice or _least_right_descent
-    return _r_rec(u, v, chooser, cache)
-
-
-def _r_rec(u, v, chooser, cache):
-    if u == v:
-        return ONE
-    if not bruhat_leq(u, v):
-        return ZERO
-    if cache is not None and (u, v) in cache:
-        return cache[(u, v)]
-    i = chooser(v)
-    s = simple_reflection(len(v), i)
-    vs = compose(v, s)
-    us = compose(u, s)
-    if i in descents(u):
-        result = _r_rec(us, vs, chooser, cache)
-    else:
-        result = Q * _r_rec(us, vs, chooser, cache) + Q_MINUS_1 * _r_rec(u, vs, chooser, cache)
-    if cache is not None:
-        cache[(u, v)] = result
-    return result
-
-
-_RT_CACHE: dict = {}
+    return _recurrence(u, v, False, descent_choice)
 
 
 def r_tilde(u: Perm, v: Perm) -> IntPolynomial:
     """The renormalized polynomial: same recurrence with the (q-1) branch
     replaced by R~_{us,vs} + q R~_{u,vs}."""
+    return _recurrence(u, v, True, None)
+
+
+def _recurrence(u, v, tilde, chooser):
+    """F_{u,v} for F = R (tilde False) or R~ (tilde True), with s = s_i and
+    i = chooser(v) a right descent of v:
+
+        F_{u,v} = F_{us,vs}                   if i is a descent of u,
+        F_{u,v} = a F_{us,vs} + b F_{u,vs}    otherwise,
+
+    where (a, b) = (q, q - 1) for R and (1, q) for R~.
+    """
     if len(u) != len(v):
         raise DomainError(f"size mismatch: {len(u)} vs {len(v)}")
-    if u == v:
-        return ONE
-    if not bruhat_leq(u, v):
-        return ZERO
-    if (u, v) in _RT_CACHE:
-        return _RT_CACHE[(u, v)]
-    i = _least_right_descent(v)
-    s = simple_reflection(len(v), i)
-    vs = compose(v, s)
-    us = compose(u, s)
-    if i in descents(u):
-        result = r_tilde(us, vs)
+    if chooser is None:
+        if len(_MEMO) > MEMO_LIMIT:
+            _MEMO.clear()
+        memo, chooser = _MEMO, _least_right_descent
     else:
-        result = r_tilde(us, vs) + Q * r_tilde(u, vs)
-    _RT_CACHE[(u, v)] = result
-    return result
+        memo = {}
+    a, b = (ONE, Q) if tilde else (Q, Q_MINUS_1)
+
+    def rec(u, v):
+        if u == v:
+            return ONE
+        if not bruhat_leq(u, v):
+            return ZERO
+        key = (tilde, u, v)
+        if key in memo:
+            return memo[key]
+        i = chooser(v)
+        s = simple_reflection(len(v), i)
+        vs = compose(v, s)
+        us = compose(u, s)
+        result = rec(us, vs)
+        if i not in descents(u):
+            result = a * result + b * rec(u, vs)
+        memo[key] = result
+        return result
+
+    return rec(u, v)
 
 
 def r_from_tilde(u: Perm, v: Perm) -> IntPolynomial:
@@ -346,18 +344,26 @@ def _violated_cover(I: BruhatInterval, M: dict):
 
 
 def find_special_matchings(I: BruhatInterval):
-    """All special matchings of the interval, by backtracking over the
-    elements in (length, word) order with incremental cover checks."""
+    """All special matchings of the interval."""
+    return list(_special_matchings(I, {}))
+
+
+def _special_matchings(I: BruhatInterval, seeds: dict):
+    """Every special matching of the interval that extends the involution
+    seeds, by backtracking over the elements in (length, word) order with
+    incremental cover checks; nothing when seeds is not a partial matching
+    along Hasse edges or already violates a cover."""
     adj = hasse_neighbors(I)
-    order = sorted(I.elements, key=lambda z: (length(z), z))
+    if any(seeds.get(z) != x or z not in adj.get(x, ()) for x, z in seeds.items()):
+        return
     covers_at = {z: [] for z in I.elements}
     for x, y in I.covers:
         covers_at[x].append((x, y))
         covers_at[y].append((x, y))
-    results = []
-    M: dict = {}
+    order = sorted(I.elements, key=lambda z: (length(z), z))
+    M = dict(seeds)
 
-    def consistent_after(x, z):
+    def consistent_around(x, z):
         for a, b in covers_at[x] + covers_at[z]:
             if a in M and b in M and M[a] != b and not bruhat_leq(M[a], M[b]):
                 return False
@@ -366,20 +372,20 @@ def find_special_matchings(I: BruhatInterval):
     def search():
         x = next((z for z in order if z not in M), None)
         if x is None:
-            results.append(dict(M))
+            assert is_special_matching(I, M)
+            yield dict(M)
             return
         for z in sorted(adj[x]):
             if z in M:
                 continue
             M[x] = z
             M[z] = x
-            if consistent_after(x, z):
-                search()
+            if consistent_around(x, z):
+                yield from search()
             del M[x], M[z]
 
-    search()
-    assert all(is_special_matching(I, M_) for M_ in results)
-    return results
+    if all(consistent_around(x, M[x]) for x in seeds):
+        yield from search()
 
 
 @dataclass(frozen=True)
@@ -497,50 +503,7 @@ def extend_to_special_matching(u: Perm, v: Perm, t: Transposition):
         }
 
     # the forced chain is heuristic; a full search settles existence
-    completion = _seeded_search(I, adj, {v: vt, vt: v, u: ut, ut: u})
+    completion = next(_special_matchings(I, {v: vt, vt: v, u: ut, ut: u}), None)
     if completion is not None:
         return completion
     return MatchingObstruction(steps=tuple(steps), conflict=conflict)
-
-
-def _seeded_search(I, adj, seeds):
-    """Backtracking completion of the seed assignment to a special matching;
-    None if impossible."""
-    if len(set(seeds)) != len(seeds) or any(
-        seeds[seeds[x]] != x or seeds[x] not in adj[x] for x in seeds
-    ):
-        return None
-    covers_at = {z: [] for z in I.elements}
-    for x, y in I.covers:
-        covers_at[x].append((x, y))
-        covers_at[y].append((x, y))
-    order = sorted(I.elements, key=lambda z: (length(z), z))
-    M = dict(seeds)
-
-    def consistent_around(x, z):
-        for a, b in covers_at[x] + covers_at[z]:
-            if a in M and b in M and M[a] != b and not bruhat_leq(M[a], M[b]):
-                return False
-        return True
-
-    if not all(consistent_around(x, M[x]) for x in list(M)):
-        return None
-
-    def search():
-        x = next((z for z in order if z not in M), None)
-        if x is None:
-            return True
-        for z in sorted(adj[x]):
-            if z in M:
-                continue
-            M[x] = z
-            M[z] = x
-            if consistent_around(x, z) and search():
-                return True
-            del M[x], M[z]
-        return False
-
-    if search():
-        assert is_special_matching(I, M)
-        return M
-    return None

@@ -7,6 +7,8 @@ criterion regresses or exceeds its time budget.
 
 import time
 
+import pytest
+
 from bruhatpoly import checks, exactlp
 from bruhatpoly.intervals import interval
 from bruhatpoly.perms import identity, parse_perm
@@ -137,41 +139,51 @@ def test_golden_recurrence_counterexample():
 # 2. exhaustive S_4 suites, < 60 s total single-threaded
 # ---------------------------------------------------------------------------
 
-_S4_TIMES = {}
+S4_SUITES = ("lifting", "dimension", "faces", "rpoly", "parabolic")
 
 
-def _s4_suite(name):
-    started = time.perf_counter()
-    report = checks.run_suite(name, n=4, jobs=1)
-    _S4_TIMES[name] = time.perf_counter() - started
+@pytest.fixture(scope="module")
+def s4_runs():
+    """The five suites, run once and shared by the tests below, so that
+    the budget test sees all five times whichever tests are selected."""
+    runs = {}
+    for name in S4_SUITES:
+        started = time.perf_counter()
+        report = checks.run_suite(name, n=4, jobs=1)
+        runs[name] = (report, time.perf_counter() - started)
+    return runs
+
+
+def _s4_suite(s4_runs, name):
+    report, seconds = s4_runs[name]
     status = "PASS" if report["pass"] else "FAIL"
-    print(f"{status}  S_4 suite: {name}  ({_S4_TIMES[name]:.2f}s)")
+    print(f"{status}  S_4 suite: {name}  ({seconds:.2f}s)")
     assert report["pass"], report["failures"][:5]
 
 
-def test_s4_suite_lifting():
-    _s4_suite("lifting")
+def test_s4_suite_lifting(s4_runs):
+    _s4_suite(s4_runs, "lifting")
 
 
-def test_s4_suite_dimension():
-    _s4_suite("dimension")
+def test_s4_suite_dimension(s4_runs):
+    _s4_suite(s4_runs, "dimension")
 
 
-def test_s4_suite_faces():
-    _s4_suite("faces")
+def test_s4_suite_faces(s4_runs):
+    _s4_suite(s4_runs, "faces")
 
 
-def test_s4_suite_rpoly():
-    _s4_suite("rpoly")
+def test_s4_suite_rpoly(s4_runs):
+    _s4_suite(s4_runs, "rpoly")
 
 
-def test_s4_suite_parabolic():
-    _s4_suite("parabolic")
+def test_s4_suite_parabolic(s4_runs):
+    _s4_suite(s4_runs, "parabolic")
 
 
-def test_s4_total_budget():
-    total = sum(_S4_TIMES.values())
-    assert len(_S4_TIMES) == 5
+def test_s4_total_budget(s4_runs):
+    total = sum(seconds for _report, seconds in s4_runs.values())
+    assert len(s4_runs) == 5
     print(f"PASS  S_4 suites total  ({total:.2f}s, budget 60s)")
     assert total < 60
 

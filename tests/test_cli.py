@@ -144,3 +144,33 @@ def test_check_sample_beyond_comparable_pairs(capsys):
     assert code == 3
     assert out == ""
     assert "13 comparable pairs" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "lifting", "--n", "4", "--jobs", "0"),
+    ("check", "lifting", "--n", "4", "--jobs", "-3"),
+    ("--jobs", "0", "check", "lifting", "--n", "4"),
+])
+def test_jobs_below_one_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+def test_sampled_faces_suite_is_labelled_faces(capsys):
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "check", "faces", "--n", "5", "--sample", "3"
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["suite"] == "faces"
+
+
+def test_sampled_suites_run_at_n6(capsys):
+    # 212 points exceed the LP's scale guard, which no sampled worker needs
+    code, out, err = run_cli(
+        capsys, "--format", "json", "check", "all", "--n", "6", "--sample", "20"
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)["results"]
+    assert [p["suite"] for p in doc["parts"]] == ["lifting", "dimension", "faces", "rpoly"]
+    assert doc["pass"] is True

@@ -103,3 +103,18 @@ def test_face_witness_consistency():
     for w in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (1, 2, 3)]:
         S = face_vertices(w, pts)
         assert is_face(S, pts)
+
+
+def test_scale_guard_is_on_the_lp_only():
+    S6 = sorted(all_perms(6))  # 720 points, beyond MAX_POINTS
+    assert affine_rank(S6) == 5
+    with pytest.raises(DomainError, match="scale guard"):
+        is_face(S6[:1], S6)
+    with pytest.raises(DomainError, match="scale guard"):
+        hull_membership(S6[0], S6)
+    with pytest.raises(DomainError, match="scale guard"):
+        extreme_points(S6)
+    with pytest.raises(DomainError, match="empty"):
+        affine_rank([])
+    with pytest.raises(DomainError, match="mixed"):
+        affine_rank([(1, 2), (1, 2, 3)])

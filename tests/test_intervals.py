@@ -1,6 +1,6 @@
 import pytest
 
-from bruhatpoly.errors import NotComparableError
+from bruhatpoly.errors import DomainError, NotComparableError
 from bruhatpoly.intervals import (
     all_maximal_chains,
     atoms,
@@ -83,6 +83,18 @@ def test_minimality_violation_explains_failures():
     u, v = (2, 1, 4, 3), (3, 2, 4, 1)
     for t in inversion_minimal_transpositions(u, v):
         assert minimality_violation(u, v, t) is None
+
+
+@pytest.mark.parametrize("u, v, t", [
+    ((1, 2, 3), (3, 2, 1), (0, 2)),
+    ((1, 2, 3), (3, 2, 1), (2, 1)),
+    ((1, 2, 3), (3, 2, 1), (1, 4)),
+    ((1, 2, 3), (4, 3, 2, 1), (1, 2)),
+])
+def test_minimality_rejects_bad_input(u, v, t):
+    for check in (minimality_violation, is_inversion_minimal):
+        with pytest.raises(DomainError):
+            check(u, v, t)
 
 
 def test_chains_are_saturated():

@@ -1,0 +1,122 @@
+"""Identities from the literature, checked on every pair x <= y of S_4.
+
+The checks share no code with the implementation: Bruhat order is the
+tableau criterion, lengths count inversions, polynomials are coefficient
+lists and inversion-minimal transpositions are found from the definition.
+References: Kazhdan-Lusztig 1979; Bjorner-Brenti, Combinatorics of Coxeter
+Groups, ch. 5.
+"""
+
+from itertools import permutations
+
+from bruhatpoly.intervals import interval
+from bruhatpoly.rpoly import (
+    extend_to_special_matching,
+    find_special_matchings,
+    r_polynomial,
+)
+
+S4 = sorted(permutations(range(1, 5)))
+
+
+def leq(u, v):
+    return all(
+        all(a <= b for a, b in zip(sorted(u[:k]), sorted(v[:k])))
+        for k in range(1, len(u))
+    )
+
+
+def ell(w):
+    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+
+
+PAIRS = [(x, y) for x in S4 for y in S4 if leq(x, y)]
+
+
+def coeffs(x, y):
+    return list(r_polynomial(x, y).coeffs)
+
+
+def times(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            out[i + j] += p * q
+    return out
+
+
+def trimmed(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def test_s4_has_213_pairs():
+    assert len(PAIRS) == 213
+
+
+def test_r_inversion_formula():
+    # sum over x <= z <= y of (-1)^(l(z) - l(x)) R_{x,z} R_{z,y} = delta_{x,y}
+    for x, y in PAIRS:
+        total = []
+        for z in S4:
+            if leq(x, z) and leq(z, y):
+                sign = (-1) ** (ell(z) - ell(x))
+                term = times(coeffs(x, z), coeffs(z, y))
+                total += [0] * (len(term) - len(total))
+                for i, c in enumerate(term):
+                    total[i] += sign * c
+        assert trimmed(total) == ([1] if x == y else []), (x, y)
+
+
+def test_r_palindromy():
+    # q^l R_{u,v}(1/q) = (-1)^l R_{u,v}(q) with l = l(v) - l(u)
+    for u, v in PAIRS:
+        d = ell(v) - ell(u)
+        c = coeffs(u, v)
+        assert len(c) == d + 1, (u, v)
+        assert all(c[d - j] == (-1) ** d * c[j] for j in range(d + 1)), (u, v)
+
+
+def inversion_minimal(u, v):
+    n = len(u)
+
+    def inverted(p, q):
+        return v[p] > v[q] and u[p] < u[q]
+
+    return [
+        (i + 1, k + 1)
+        for i in range(n)
+        for k in range(i + 1, n)
+        if inverted(i, k)
+        and not any(
+            inverted(p, q)
+            for p in range(i, k + 1)
+            for q in range(p + 1, k + 1)
+            if (p, q) != (i, k)
+        )
+    ]
+
+
+def swapped(w, t):
+    i, k = t
+    w = list(w)
+    w[i - 1], w[k - 1] = w[k - 1], w[i - 1]
+    return tuple(w)
+
+
+def test_extension_exists_iff_some_special_matching_has_the_seeds():
+    verdicts = []
+    for u, v in PAIRS:
+        if u == v:
+            continue
+        matchings = find_special_matchings(interval(u, v))
+        for t in inversion_minimal(u, v):
+            ut, vt = swapped(u, t), swapped(v, t)
+            found = isinstance(extend_to_special_matching(u, v, t), dict)
+            expected = any(M[v] == vt and M[u] == ut for M in matchings)
+            assert found == expected, (u, v, t)
+            verdicts.append(found)
+    # both verdicts occur, so neither side passes vacuously
+    assert True in verdicts and False in verdicts

@@ -30,7 +30,6 @@ from bruhatpoly.polytopes import (
     interval_matroid,
     is_face,
     is_toric,
-    matroid_rank,
     minkowski_check,
     normal_cone,
     skeleton_edges,
@@ -115,9 +114,9 @@ def test_interval_matroid_ranks():
     assert set(M2.bases) == {
         frozenset(b) for b in ({1, 3}, {1, 4}, {2, 3}, {2, 4})
     }
-    assert matroid_rank(M2, (1, 2)) == 1
-    assert matroid_rank(M2, (3, 4)) == 1
-    assert matroid_rank(M2, (1, 3)) == 2
+    assert M2.rank((1, 2)) == 1
+    assert M2.rank((3, 4)) == 1
+    assert M2.rank((1, 3)) == 2
 
 
 def test_face_criterion_matches_lp_oracle():

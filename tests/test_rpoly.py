@@ -173,3 +173,21 @@ def test_extend_to_special_matching_negative_golden():
     assert forced[P("4312")] == P("4213")
     assert forced[P("1342")] == P("1324")
     assert "not >=" in str(obs)
+
+
+def test_r_memo_is_bounded(monkeypatch):
+    from bruhatpoly import rpoly
+
+    monkeypatch.setattr(rpoly, "MEMO_LIMIT", 10)
+    rpoly._MEMO.clear()
+    sizes = []
+    for v in sorted(all_perms(4)):
+        r_polynomial(identity(4), v)
+        r_tilde(identity(4), v)
+        sizes.append(len(rpoly._MEMO))
+    # a call that finds more than MEMO_LIMIT entries starts from an empty memo
+    assert max(sizes) > 10
+    assert max(sizes) <= 10 + max(
+        len(interval(identity(4), v)) ** 2 for v in all_perms(4)
+    )
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))

@@ -1,10 +1,12 @@
 """Exact rational linear algebra and LP, used as ground truth in tests.
 
-Everything here works over Fractions (or plain integers for the
-fraction-free rank computation); no floating point appears in any decision
-path.  The simplex uses Bland's rule, which guarantees termination, and the
-strict-separation face test is normalized with box bounds on the functional
-so that the margin LP is bounded.
+The LP takes int or Fraction data and scales every row to integers once;
+the simplex then pivots on integers only, and Fractions appear only in
+the returned optimum.  The rank computation is fraction-free over the
+integers.  No floating point appears in any decision path.  The simplex
+uses Bland's rule, which guarantees termination.  The face test is the
+dual criterion "conv(V \\ S) misses aff(S)", one feasibility LP with
+dim + 1 rows.
 
 Scale guards: the LP routines are meant for desk-scale instances (point
 sets from S_n with n <= 5); they are not a general-purpose LP library.  The
@@ -149,40 +151,44 @@ def _optimize(tableau, basis, det, cost):
         det = _pivot(tableau, basis, zrow, det, leaving, entering)
 
 
-def _integer_rows(A, b):
-    rows = []
-    for ar, br in zip(A, b):
-        line = [Fraction(a) for a in ar] + [Fraction(br)]
+def _integer_row(line):
+    """The rational entries of line scaled by the lcm of their denominators;
+    int and Fraction entries both carry numerator and denominator."""
+    try:
         den = 1
         for x in line:
             den = den * x.denominator // math.gcd(den, x.denominator)
-        row = [int(x * den) for x in line]
-        if row[-1] < 0:
-            row = [-x for x in row]
-        rows.append(row)
-    return rows
+        return [x.numerator * (den // x.denominator) for x in line]
+    except AttributeError:
+        bad = next(x for x in line if not hasattr(x, "denominator"))
+        raise DomainError(
+            f"LP entries must be int or Fraction, got {bad!r}"
+        ) from None
 
 
 def solve_eq_lp(A, b, c):
-    """max c.x subject to A x = b, x >= 0, all entries rational.
+    """max c.x subject to A x = b, x >= 0, all entries rational (int or
+    Fraction).
 
     Returns (status, x, objective) with status one of "optimal",
     "infeasible", "unbounded"; x is a list of Fractions when optimal.
     """
     m = len(A)
     n = len(A[0]) if m else len(c)
-    rows = _integer_rows(A, b)
-    c = [Fraction(x) for x in c]
-    cden = 1
-    for x in c:
-        cden = cden * x.denominator // math.gcd(cden, x.denominator)
-    cint = [int(x * cden) for x in c]
+    if len(b) != m or len(c) != n or any(len(ar) != n for ar in A):
+        raise DomainError(
+            f"LP shape mismatch: A has rows of lengths {[len(ar) for ar in A]}, "
+            f"b has {len(b)} entries, c has {len(c)}"
+        )
+    rows = [_integer_row([*ar, br]) for ar, br in zip(A, b)]
+    cint = _integer_row(c)
 
     # phase 1: artificial variables, minimize their sum
-    tableau = [
-        rows[r][:n] + [int(i == r) for i in range(m)] + [rows[r][-1]]
-        for r in range(m)
-    ]
+    tableau = []
+    for r, row in enumerate(rows):
+        if row[-1] < 0:
+            row = [-x for x in row]
+        tableau.append(row[:n] + [int(i == r) for i in range(m)] + [row[-1]])
     basis = [n + r for r in range(m)]
     det = 1
     cost1 = [0] * n + [-1] * m
@@ -216,29 +222,40 @@ def solve_eq_lp(A, b, c):
     return "optimal", x, obj
 
 
+def _hull_meets_affine(points, S) -> bool:
+    """True iff conv(points) meets the affine hull of S: feasibility of
+        sum_p l_p p - sum_s m_s (s - s0) = s0,  sum_p l_p = 1,  l >= 0,
+    with each free m_s split as m_s+ - m_s-."""
+    s0 = S[0]
+    dirs = [[a - b for a, b in zip(s, s0)] for s in S[1:]]
+    A = [[1] * len(points) + [0] * (2 * len(dirs))]
+    for i in range(len(s0)):
+        A.append(
+            [p[i] for p in points]
+            + [x for d in dirs for x in (-d[i], d[i])]
+        )
+    status, _, _ = solve_eq_lp(A, [1, *s0], [0] * len(A[0]))
+    return status == "optimal"
+
+
 def hull_membership(q, points) -> bool:
     """True iff q lies in the convex hull of points (exact feasibility LP
     on the barycentric weights)."""
     dim = _check_lp_points(points)
     if len(q) != dim:
         raise DomainError(f"dimension mismatch: {len(q)} vs {dim}")
-    m = len(points)
-    A = [[Fraction(1)] * m] + [
-        [Fraction(p[i]) for p in points] for i in range(dim)
-    ]
-    b = [Fraction(1)] + [Fraction(qi) for qi in q]
-    status, _, _ = solve_eq_lp(A, b, [Fraction(0)] * m)
-    return status == "optimal"
+    return _hull_meets_affine(points, [q])
 
 
 def is_face(S, V) -> bool:
-    """Strict-separation test: is conv(S) a face of conv(V)?
+    """Is S the set of points of V on some face of conv(V)?
 
-    Looks for a functional w with w.s constant on S and strictly larger
-    than w.t for every t in V \\ S, by maximizing the margin delta subject
-    to box bounds -1 <= w_i <= 1.  Face iff the optimal margin is positive.
+    By the transposition theorem (Schrijver, Theory of Linear and Integer
+    Programming, sec. 7.8), a functional constant on S and strictly larger
+    there than on V \\ S exists iff conv(V \\ S) misses aff(S); that is one
+    feasibility LP with dim + 1 rows.
     """
-    dim = _check_lp_points(V)
+    _check_lp_points(V)
     sset = {tuple(s) for s in S}
     if not sset:
         raise DomainError("empty face candidate")
@@ -248,54 +265,13 @@ def is_face(S, V) -> bool:
     others = sorted(vset - sset)
     if not others:
         return True
-    if len(sset) == 1:
-        # a single point is a face iff it is extreme
-        return not hull_membership(next(iter(sset)), others)
-    # no strict separation can exist if some outside point is affinely
-    # dependent on S; this cheap integer-rank filter also keeps the margin
-    # LP off the bulk of the non-faces
+    # an outside point affinely dependent on S already meets aff(S); this
+    # cheap integer-rank filter keeps the LP off the bulk of the non-faces
     base = sorted(sset)
     r = affine_rank(base)
     if any(affine_rank(base + [t]) == r for t in others):
         return False
-    s0 = base[0]
-
-    # variables: y_1..y_dim (w_i = y_i - 1), dplus, dminus,
-    # one surplus per strict constraint, one cap slack per coordinate
-    nstrict = len(others)
-    nvars = dim + 2 + nstrict + dim
-    A, b = [], []
-
-    def row(yc, dplus, dminus, surplus_idx, cap_idx, rhs):
-        line = [Fraction(0)] * nvars
-        for i, a in enumerate(yc):
-            line[i] = Fraction(a)
-        line[dim] = Fraction(dplus)
-        line[dim + 1] = Fraction(dminus)
-        if surplus_idx is not None:
-            line[dim + 2 + surplus_idx] = Fraction(-1)
-        if cap_idx is not None:
-            line[dim + 2 + nstrict + cap_idx] = Fraction(1)
-        A.append(line)
-        b.append(Fraction(rhs))
-
-    for s in sorted(sset - {s0}):
-        diff = [a - b_ for a, b_ in zip(s0, s)]
-        row(diff, 0, 0, None, None, sum(diff))
-    for idx, t in enumerate(others):
-        diff = [a - b_ for a, b_ in zip(s0, t)]
-        row(diff, -1, 1, idx, None, sum(diff))
-    for i in range(dim):
-        unit = [0] * dim
-        unit[i] = 1
-        row(unit, 0, 0, None, i, 2)
-
-    c = [Fraction(0)] * nvars
-    c[dim] = Fraction(1)
-    c[dim + 1] = Fraction(-1)
-    status, _, obj = solve_eq_lp(A, b, c)
-    assert status == "optimal", f"margin LP must be feasible and bounded, got {status}"
-    return obj > 0
+    return not _hull_meets_affine(others, base)
 
 
 def face_vertices(w, V):

@@ -129,8 +129,11 @@ def parabolic_faces_check(u: Perm, v: Perm, J) -> dict:
         for y in elements:
             if bruhat_leq(x, y):
                 local_sets.add(frozenset(pt[z] for z in interval(x, y).elements))
+    # the argmax sets above are faces already; the LP decides the rest
     faces |= {
-        S for S in local_sets if S <= vset and exactlp.is_face(sorted(S), V)
+        S
+        for S in local_sets - faces
+        if S <= vset and exactlp.is_face(sorted(S), V)
     }
 
     violations = [

@@ -345,15 +345,15 @@ def _violated_cover(I: BruhatInterval, M: dict):
 
 def find_special_matchings(I: BruhatInterval):
     """All special matchings of the interval."""
-    return list(_special_matchings(I, {}))
+    return list(_special_matchings(I, {}, hasse_neighbors(I)))
 
 
-def _special_matchings(I: BruhatInterval, seeds: dict):
+def _special_matchings(I: BruhatInterval, seeds: dict, adj: dict):
     """Every special matching of the interval that extends the involution
     seeds, by backtracking over the elements in (length, word) order with
     incremental cover checks; nothing when seeds is not a partial matching
-    along Hasse edges or already violates a cover."""
-    adj = hasse_neighbors(I)
+    along Hasse edges or already violates a cover.  adj is
+    hasse_neighbors(I)."""
     if any(seeds.get(z) != x or z not in adj.get(x, ()) for x, z in seeds.items()):
         return
     covers_at = {z: [] for z in I.elements}
@@ -503,7 +503,9 @@ def extend_to_special_matching(u: Perm, v: Perm, t: Transposition):
         }
 
     # the forced chain is heuristic; a full search settles existence
-    completion = next(_special_matchings(I, {v: vt, vt: v, u: ut, ut: u}), None)
+    completion = next(
+        _special_matchings(I, {v: vt, vt: v, u: ut, ut: u}, adj), None
+    )
     if completion is not None:
         return completion
     return MatchingObstruction(steps=tuple(steps), conflict=conflict)

@@ -57,6 +57,15 @@ def test_is_face_midpoint_not_extreme():
     assert is_face([(0, 0)], seg)
 
 
+def test_is_face_sees_the_affine_hull_beyond_S():
+    # conv(V \ S) meets the line through S only outside the segment S,
+    # on one side or the other; S is no face in either case
+    S = [(0, 0), (1, 0)]
+    assert not is_face(S, S + [(-1, 1), (-1, -1)])
+    assert not is_face(S, S + [(2, 1), (2, -1)])
+    assert is_face(S, S + [(2, 1), (-1, 1)])
+
+
 def test_solve_eq_lp_optimal():
     # max x + y subject to x + y + s = 3, x - y = 1, all >= 0
     status, x, obj = solve_eq_lp(
@@ -83,6 +92,28 @@ def test_solve_eq_lp_fractional_data():
     )
     assert status == "optimal"
     assert obj == 2 and x[0] == 2
+
+
+def test_solve_eq_lp_rejects_float_entries():
+    with pytest.raises(DomainError, match="int or Fraction, got 0.5"):
+        solve_eq_lp([[1, 0.5]], [1], [1, 0])
+
+
+def test_solve_eq_lp_rejects_str_entries():
+    with pytest.raises(DomainError, match="int or Fraction, got '1'"):
+        solve_eq_lp([[1, 1]], ["1"], [1, 0])
+
+
+def test_solve_eq_lp_rejects_ragged_rows():
+    with pytest.raises(DomainError, match="shape"):
+        solve_eq_lp([[1, 1], [1]], [1, 1], [1, 0])
+
+
+def test_solve_eq_lp_rejects_vectors_of_wrong_length():
+    with pytest.raises(DomainError, match="shape"):
+        solve_eq_lp([[1, 1]], [1, 2], [1, 0])
+    with pytest.raises(DomainError, match="shape"):
+        solve_eq_lp([[1, 1]], [1], [1, 0, 0])
 
 
 def test_extreme_points_drops_interior():

@@ -192,12 +192,20 @@ def test_face_min_max():
 
 
 def test_normal_cone_witness_exposes_face():
-    u, v = P("1243"), P("4132")
-    x, y = P("2143"), P("4132")
-    _, _, witness = normal_cone(x, y, u, v)
-    V = vertices(u, v)
-    exposed = exactlp.face_vertices(witness, V)
-    assert set(exposed) == set(interval(x, y).elements)
+    """On every face of every S_4 interval (u = v included), the witness
+    functional's argmax over the vertices is exactly the face [x, y]; the
+    argmax shares no code with the LP face oracle."""
+    pairs = [(z, z) for z in all_perms(4)] + list(comparable_pairs(4))
+    assert len(pairs) == 213
+    checked = 0
+    for u, v in pairs:
+        V = vertices(u, v)
+        for x, y, _d in enumerate_faces(u, v):
+            _, _, witness = normal_cone(x, y, u, v)
+            exposed = exactlp.face_vertices(witness, V)
+            assert set(exposed) == set(interval(x, y).elements)
+            checked += 1
+    assert checked == 2969 + 24  # the pairs u < v, then one face per u = v
 
 
 def test_diameter_equals_rank():

@@ -14,11 +14,9 @@ from .intervals import (
     atoms,
     chain_via_atoms,
     chain_via_coatoms,
-    classical_lift,
     coatoms,
     generalized_lift,
     interval,
-    inversion_inversion_check,
     inversion_minimal_transpositions,
 )
 from .parabolic import (
@@ -81,7 +79,6 @@ __all__ = [
     "bruhat_leq",
     "chain_via_atoms",
     "chain_via_coatoms",
-    "classical_lift",
     "coatoms",
     "compose",
     "crown_type",
@@ -99,7 +96,6 @@ __all__ = [
     "interval",
     "interval_matroid",
     "inverse",
-    "inversion_inversion_check",
     "inversion_minimal_transpositions",
     "is_cover",
     "is_face",

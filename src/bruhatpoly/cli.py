@@ -145,7 +145,7 @@ def cmd_interval(args):
     results = {
         "size": len(I),
         "rank": I.rank,
-        "elements": [format_perm(z) for z in sorted(I.elements)],
+        "elements": [format_perm(z) for z in I.order],
         "atoms": [
             {"element": format_perm(z), "t": _fmt_pair(t)} for z, t in atoms(I)
         ],

@@ -266,11 +266,13 @@ def is_face(S, V) -> bool:
     if not others:
         return True
     # an outside point affinely dependent on S already meets aff(S); this
-    # cheap integer-rank filter keeps the LP off the bulk of the non-faces
+    # cheap integer-rank filter keeps the LP off the bulk of the non-faces.
+    # It cannot fire on one point, since two distinct points have rank 1.
     base = sorted(sset)
-    r = affine_rank(base)
-    if any(affine_rank(base + [t]) == r for t in others):
-        return False
+    if len(base) > 1:
+        r = affine_rank(base)
+        if any(affine_rank(base + [t]) == r for t in others):
+            return False
     return not _hull_meets_affine(others, base)
 
 

@@ -23,32 +23,63 @@ from .perms import (
     bruhat_leq,
     covers_down,
     covers_up,
-    descents,
     format_perm,
     length,
-    simple_reflection,
 )
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 @dataclass(frozen=True)
 class BruhatInterval:
-    """A closed Bruhat interval with its elements and cover relations.
+    """The closed interval [u, v] as one cover table.
 
-    covers contains ordered pairs (x, y) with x covered by y, both inside
-    the interval.
+    order lists the elements sorted; that is a linear extension of Bruhat
+    order, so order[0] = u and order[-1] = v.  up[i] holds (j, t) for each
+    cover order[j] = order[i] * t, sorted by j; down[i] holds the labels t
+    of the cocovers of order[i].  above[i] is a bitset with bit j set iff
+    order[i] <= order[j]: inside an interval, Bruhat order is the
+    transitive closure of the covers.
     """
 
     u: Perm
     v: Perm
     elements: frozenset
-    covers: frozenset
+    order: tuple
+    up: tuple
+    down: tuple
+    above: tuple
+
+    @property
+    def covers(self) -> frozenset:
+        """The pairs (x, y) with x covered by y, both inside the interval."""
+        order = self.order
+        return frozenset(
+            (order[i], order[j]) for i, row in enumerate(self.up) for j, _t in row
+        )
 
     @property
     def rank(self) -> int:
         return length(self.v) - length(self.u)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.order)
+
+    def pairs(self):
+        """The index pairs (i, j) with order[i] <= order[j], in (i, j) order."""
+        for i, bits in enumerate(self.above):
+            for j in _bits(bits):
+                yield i, j
+
+    def between(self, i: int, j: int):
+        """The indices of the subinterval [order[i], order[j]], ascending."""
+        above = self.above
+        return [k for k in _bits(above[i]) if above[k] >> j & 1]
 
 
 def require_leq(u: Perm, v: Perm) -> None:
@@ -57,38 +88,52 @@ def require_leq(u: Perm, v: Perm) -> None:
         raise NotComparableError(f"{format_perm(u)} is not <= {format_perm(v)} in Bruhat order")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def interval(u: Perm, v: Perm) -> BruhatInterval:
-    """The interval [u, v]; BFS upward from u, pruned by comparison with v."""
+    """The cover table of [u, v], from one BFS upward from u pruned by
+    comparison with v.  Every cover inside the interval joins two
+    consecutive BFS layers, so each element's covers are computed once."""
     require_leq(u, v)
-    elements = {u}
-    frontier = [u]
-    while frontier:
-        new = []
-        for x in frontier:
-            for y, _t in covers_up(x):
-                if y not in elements and bruhat_leq(y, v):
-                    elements.add(y)
-                    new.append(y)
-        frontier = new
-    covers = frozenset(
-        (x, y) for x in elements for y, _t in covers_up(x) if y in elements
+    ups = {}
+    layers = [[u]]
+    while layers[-1]:
+        found = {}  # the next layer, in the order the BFS finds it
+        for x in layers[-1]:
+            row = ups[x] = []
+            for y, t in covers_up(x):
+                if y in found or bruhat_leq(y, v):
+                    found[y] = None
+                    row.append((y, t))
+        layers.append(list(found))
+    order = sorted(ups)
+    index = {z: i for i, z in enumerate(order)}
+    up = [sorted((index[y], t) for y, t in ups[z]) for z in order]
+    down = [[] for _ in order]
+    for row in up:
+        for j, t in row:
+            down[j].append(t)
+    above = [0] * len(order)
+    for layer in reversed(layers):
+        for z in layer:
+            i = index[z]
+            bits = 1 << i
+            for j, _t in up[i]:
+                bits |= above[j]
+            above[i] = bits
+    return BruhatInterval(
+        u, v, frozenset(order), tuple(order),
+        tuple(map(tuple, up)), tuple(map(tuple, down)), tuple(above),
     )
-    return BruhatInterval(u, v, frozenset(elements), covers)
 
 
 def atoms(I: BruhatInterval):
     """The covers of u inside the interval, with their transpositions."""
-    return sorted(
-        (z, t) for z, t in covers_up(I.u) if bruhat_leq(z, I.v)
-    )
+    return [(I.order[j], t) for j, t in I.up[0]]
 
 
 def coatoms(I: BruhatInterval):
     """The cocovers of v inside the interval, with their transpositions."""
-    return sorted(
-        (z, t) for z, t in covers_down(I.v) if bruhat_leq(I.u, z)
-    )
+    return sorted((apply_transposition(I.v, t), t) for t in I.down[-1])
 
 
 def atom_transpositions(u: Perm, v: Perm):
@@ -159,61 +204,6 @@ def generalized_lift(u: Perm, v: Perm):
     return t, ut, vt
 
 
-def classical_lift(u: Perm, v: Perm, i: int):
-    """Classical lifting by the simple reflection s_i.
-
-    Requires i to be a right descent of v but not of u; such an i need not
-    exist, which is what motivates the generalized version.  Returns (vs, us).
-    """
-    if u == v or not bruhat_leq(u, v):
-        raise NotComparableError(f"need {format_perm(u)} < {format_perm(v)}")
-    if i not in descents(v) or i in descents(u):
-        raise DomainError(f"s_{i} is not in D_R(v) \\ D_R(u)")
-    s = simple_reflection(len(u), i)
-    from .perms import compose
-
-    vs = compose(v, s)
-    us = compose(u, s)
-    assert bruhat_leq(u, vs) and length(vs) == length(v) - 1
-    assert bruhat_leq(us, v) and length(us) == length(u) + 1
-    return vs, us
-
-
-def canonical_pattern(seq):
-    """Rank-sequence representative of a pattern: each entry replaced by
-    #{j : seq[j] <= seq[i]}.  E.g. 523 -> 312."""
-    seq = tuple(seq)
-    if len(set(seq)) != len(seq):
-        raise DomainError(f"pattern has repeated values: {seq!r}")
-    return tuple(sum(1 for b in seq if b <= a) for a in seq)
-
-
-def inversion_inversion_check(x, y) -> bool:
-    """True iff every inversion of x is an inversion of y (patterns are
-    canonicalized first; the condition does not depend on representatives)."""
-    x = canonical_pattern(x)
-    y = canonical_pattern(y)
-    if len(x) != len(y):
-        raise DomainError(f"pattern length mismatch: {len(x)} vs {len(y)}")
-    m = len(x)
-    return all(
-        y[i] > y[j]
-        for i in range(m)
-        for j in range(i + 1, m)
-        if x[i] > x[j]
-    )
-
-
-def minimality_patterns(u: Perm, v: Perm, t: Transposition):
-    """The two patterns whose Inversion-Inversion relation characterizes
-    inversion-minimality of t = (i,k): x = v_i..v_k and y = u with the
-    endpoints swapped, i.e. u_k u_{i+1} ... u_{k-1} u_i."""
-    i, k = t
-    x = v[i - 1 : k]
-    y = (u[k - 1],) + u[i : k - 1] + (u[i - 1],)
-    return canonical_pattern(x), canonical_pattern(y)
-
-
 def chain_via_coatoms(I: BruhatInterval):
     """A maximal chain from u to v all of whose labels lie in T-underbar(v):
     repeatedly lift (x, v) and step x -> xt."""
@@ -248,20 +238,18 @@ def chain_transpositions(chain):
 
 def all_maximal_chains(I: BruhatInterval):
     """Every maximal chain of the interval (exponential; desk scale only)."""
-    up = {}
-    for x, y in I.covers:
-        up.setdefault(x, []).append(y)
     chains = []
+    top = len(I.order) - 1
 
     def extend(partial):
-        x = partial[-1]
-        if x == I.v:
-            chains.append(tuple(partial))
+        i = partial[-1]
+        if i == top:
+            chains.append(tuple(I.order[k] for k in partial))
             return
-        for y in sorted(up.get(x, ())):
-            partial.append(y)
+        for j, _t in I.up[i]:
+            partial.append(j)
             extend(partial)
             partial.pop()
 
-    extend([I.u])
+    extend([0])
     return chains

@@ -21,7 +21,7 @@ from itertools import product
 from . import exactlp
 from .errors import DomainError
 from .intervals import interval
-from .perms import Perm, bruhat_leq, format_perm, identity, inverse
+from .perms import Perm, format_perm, identity, inverse, longest_element
 
 
 def check_subset(n: int, J) -> tuple:
@@ -78,20 +78,20 @@ def coset_reps_in_interval(u: Perm, v: Perm, J):
     return sorted({min_coset_rep(z, J) for z in interval(u, v).elements})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _interval_point_sets(n: int, J):
-    """frozenset of weight points -> witnessing (x, y), over every interval
-    [x, y] in S_n whose top is a minimal coset representative."""
-    out = {}
-    e = identity(n)
-    reps = sorted(
-        {min_coset_rep(z, J) for z in interval(e, tuple(range(n, 0, -1))).elements}
+    """The weight-point sets {p(z) : x <= z <= y} of every interval [x, y]
+    in S_n whose top y is a minimal coset representative, read from the
+    one cover table of S_n's [e, w0].  The bound is small because the
+    parabolic suite visits the subsets J in order."""
+    T = interval(identity(n), longest_element(n))
+    pts = [weight_point(z, J) for z in T.order]
+    tops = {j for j, z in enumerate(T.order) if is_min_rep(z, J)}
+    return frozenset(
+        frozenset(pts[k] for k in T.between(i, j))
+        for i, j in T.pairs()
+        if j in tops
     )
-    for y in reps:
-        for x in sorted(interval(e, y).elements):
-            S = frozenset(weight_point(z, J) for z in interval(x, y).elements)
-            out.setdefault(S, (x, y))
-    return out
 
 
 def parabolic_faces_check(u: Perm, v: Perm, J) -> dict:
@@ -110,32 +110,20 @@ def parabolic_faces_check(u: Perm, v: Perm, J) -> dict:
     J = check_subset(n, J)
     I = interval(u, v)
     V = parabolic_bip_vertices(u, v, J)
+    pts = [weight_point(z, J) for z in I.order]
+
+    faces = {
+        frozenset(exactlp.face_vertices(w, V)) for w in product(range(n), repeat=n)
+    }
+    local_sets = {
+        frozenset(pts[k] for k in I.between(i, j)) for i, j in I.pairs()
+    }
+    # the argmax sets above are faces already; the LP decides the rest
+    faces |= {S for S in local_sets - faces if exactlp.is_face(sorted(S), V)}
 
     # the face's defining interval need not sit inside [u, v], so the
     # candidate point sets range over every [x, y] with y minimal
     interval_sets = _interval_point_sets(n, J)
-    elements = sorted(I.elements)
-    pt = {z: weight_point(z, J) for z in elements}
-
-    faces = set()
-    for w in product(range(n), repeat=n):
-        best = max(sum(a * b for a, b in zip(w, p)) for p in V)
-        faces.add(
-            frozenset(p for p in V if sum(a * b for a, b in zip(w, p)) == best)
-        )
-    vset = set(V)
-    local_sets = set()
-    for x in elements:
-        for y in elements:
-            if bruhat_leq(x, y):
-                local_sets.add(frozenset(pt[z] for z in interval(x, y).elements))
-    # the argmax sets above are faces already; the LP decides the rest
-    faces |= {
-        S
-        for S in local_sets - faces
-        if S <= vset and exactlp.is_face(sorted(S), V)
-    }
-
     violations = [
         sorted(F) for F in faces if F not in interval_sets
     ]
@@ -147,16 +135,12 @@ def parabolic_faces_check(u: Perm, v: Perm, J) -> dict:
     )
 
     dims = {F: exactlp.affine_rank(sorted(F)) for F in faces}
-    edges_ok = True
-    for F in faces:
-        if len(F) == 2 and dims[F] == 1:
-            p1, p2 = sorted(F)
-            if not any(
-                {pt[x], pt[y]} == {p1, p2}
-                for x, y in I.covers
-                if pt[x] != pt[y]
-            ):
-                edges_ok = False
+    cover_sets = {
+        frozenset((pts[i], pts[j])) for i, row in enumerate(I.up) for j, _t in row
+    }
+    edges_ok = all(
+        F in cover_sets for F in faces if len(F) == 2 and dims[F] == 1
+    )
 
     by_dim = {}
     for d in dims.values():

@@ -10,7 +10,7 @@ comma-separated values for n >= 10 ("10,2,3,...").
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .errors import DomainError
 
@@ -125,28 +125,34 @@ def cover_transposition(u: Perm, v: Perm) -> Transposition:
     return (diff[0], diff[1])
 
 
-def covers_up(w: Perm):
-    """All (w*t, t) with length going up by exactly one."""
+def _cover_scan(w: Perm, up: bool):
+    """The covers of w in one direction, in (i, k) order.  For each i, walk
+    k upward keeping the cap, the nearest value to w_i seen so far on the
+    chosen side of it; (i, k) is a cover iff w_k lies between w_i and the
+    cap, which is exactly when no w_j with i < j < k lies between them."""
     n = len(w)
     out = []
-    for i, k in combinations(range(1, n + 1), 2):
-        if w[i - 1] < w[k - 1] and all(
-            not (w[i - 1] < w[j - 1] < w[k - 1]) for j in range(i + 1, k)
-        ):
-            out.append((apply_transposition(w, (i, k)), (i, k)))
+    for i in range(n - 1):
+        a = w[i]
+        cap = n + 1 if up else 0
+        for k in range(i + 1, n):
+            b = w[k]
+            if (a < b < cap) if up else (cap < b < a):
+                cap = b
+                z = list(w)
+                z[i], z[k] = b, a
+                out.append((tuple(z), (i + 1, k + 1)))
     return out
+
+
+def covers_up(w: Perm):
+    """All (w*t, t) with length going up by exactly one."""
+    return _cover_scan(w, True)
 
 
 def covers_down(w: Perm):
     """All (w*t, t) with length going down by exactly one."""
-    n = len(w)
-    out = []
-    for i, k in combinations(range(1, n + 1), 2):
-        if w[i - 1] > w[k - 1] and all(
-            not (w[k - 1] < w[j - 1] < w[i - 1]) for j in range(i + 1, k)
-        ):
-            out.append((apply_transposition(w, (i, k)), (i, k)))
-    return out
+    return _cover_scan(w, False)
 
 
 def descents(w: Perm, side: str = "right") -> frozenset:
@@ -165,6 +171,3 @@ def all_perms(n: int):
     """All of S_n in lexicographic order."""
     return [tuple(p) for p in permutations(range(1, n + 1))]
 
-
-def all_transpositions(n: int):
-    return list(combinations(range(1, n + 1), 2))

@@ -18,7 +18,6 @@ from . import exactlp
 from .errors import DomainError
 from .intervals import (
     BruhatInterval,
-    all_maximal_chains,
     atom_transpositions,
     chain_transpositions,
     chain_via_coatoms,
@@ -26,7 +25,7 @@ from .intervals import (
     interval,
     require_leq,
 )
-from .perms import Perm, bruhat_leq, cover_transposition, format_perm, is_cover, length
+from .perms import Perm, bruhat_leq, format_perm, is_cover, length
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +111,7 @@ def vertices(u: Perm, v: Perm):
     """Permutation vectors of the interval elements, sorted; each is a
     vertex of the hull since permutation vectors are extreme in the
     permutohedron."""
-    return sorted(interval(u, v).elements)
+    return list(interval(u, v).order)
 
 
 def dimension(u: Perm, v: Perm) -> int:
@@ -273,50 +272,36 @@ class FaceGraph:
     def nodes(self):
         return sorted(set(self.rep))
 
-    def is_acyclic(self) -> bool:
-        if any(a == b for a, b in self.edges):
-            return False
-        succ = {node: set() for node in self.nodes()}
-        for a, b in self.edges:
-            succ[a].add(b)
-        state = {}
-
-        def visit(a):
-            state[a] = "open"
-            for b in succ[a]:
-                if state.get(b) == "open":
-                    return False
-                if b not in state and not visit(b):
-                    return False
-            state[a] = "done"
-            return True
-
-        return all(visit(a) for a in self.nodes() if a not in state)
-
     def topological_levels(self):
-        """Kahn order with smallest-representative tie-break; returns a dict
-        node -> level usable as a normal-cone witness."""
-        if not self.is_acyclic():
-            raise DomainError("face graph has a directed cycle")
-        succ = {node: set() for node in self.nodes()}
-        indeg = {node: 0 for node in self.nodes()}
+        """Kahn order with smallest-representative tie-break: a dict
+        node -> level usable as a normal-cone witness, or None when the
+        graph has a directed cycle."""
+        succ = {node: [] for node in self.nodes()}
+        indeg = dict.fromkeys(succ, 0)
         for a, b in self.edges:
-            if b not in succ[a]:
-                succ[a].add(b)
-                indeg[b] += 1
+            succ[a].append(b)
+            indeg[b] += 1
         levels = {}
         ready = sorted(node for node, d in indeg.items() if d == 0)
-        counter = 0
         while ready:
             node = ready.pop(0)
-            levels[node] = counter
-            counter += 1
-            for b in sorted(succ[node]):
+            levels[node] = len(levels)
+            for b in succ[node]:
                 indeg[b] -= 1
                 if indeg[b] == 0:
                     ready.append(b)
             ready.sort()
-        return levels
+        return levels if len(levels) == len(succ) else None
+
+    def is_acyclic(self) -> bool:
+        return self.topological_levels() is not None
+
+    def witness(self):
+        """An integer functional maximized over [u, v] exactly on the face
+        of an acyclic face graph: each coordinate is the topological level
+        of its block."""
+        levels = self.topological_levels()
+        return tuple(levels[r] for r in self.rep)
 
 
 def _require_nested(x, y, u, v):
@@ -358,55 +343,30 @@ def is_face(x: Perm, y: Perm, u: Perm, v: Perm) -> bool:
     return face_graph(x, y, u, v).is_acyclic()
 
 
-def _cover_table(u: Perm, v: Perm):
-    """The covers of [u, v] indexed for face tests: (order, up, down, above).
-
-    order lists the elements sorted, so index order is permutation order.
-    up[i] holds (j, t) with order[j] = order[i] * t covering order[i],
-    sorted by j; down[i] holds the labels t of the cocovers of order[i].
-    above[i] is a bitset with bit j set iff order[i] <= order[j]: the
-    transitive closure of the covers, which inside an interval is Bruhat
-    order.
-    """
-    I = interval(u, v)
-    order = sorted(I.elements)
-    index = {z: i for i, z in enumerate(order)}
-    up = [[] for _ in order]
-    down = [[] for _ in order]
-    for x, y in I.covers:
-        t = cover_transposition(x, y)
-        up[index[x]].append((index[y], t))
-        down[index[y]].append(t)
-    for row in up:
-        row.sort()
-    above = [0] * len(order)
-    for i in sorted(range(len(order)), key=lambda i: -length(order[i])):
-        bits = 1 << i
-        for j, _t in up[i]:
-            bits |= above[j]
-        above[i] = bits
-    return order, up, down, above
+def face_graphs(I: BruhatInterval):
+    """(i, j, G) for every pair order[i] <= order[j] of the interval's cover
+    table, in (i, j) order, with G the face graph of that subinterval."""
+    n = len(I.u)
+    above, up, down = I.above, I.up, I.down
+    up_labels = [[t for _k, t in row] for row in up]
+    for i, j in I.pairs():
+        inner = [t for k, t in up[i] if above[k] >> j & 1]
+        yield i, j, _face_graph(n, inner, up_labels[j], down[i])
 
 
 def enumerate_faces(u: Perm, v: Perm):
     """All faces as triples (x, y, dim), one for each pair x <= y in [u, v]
-    that passes the face criterion, sorted by (x, y, dim).  A face is fixed
-    by its Bruhat minimum and maximum, so no two triples share a vertex set.
-    Counting by dim gives the f-vector."""
+    that passes the face criterion, sorted by (x, y, dim); every pair is
+    read from the interval's cover table.  A face is fixed by its Bruhat
+    minimum and maximum, so no two triples share a vertex set.  Counting by
+    dim gives the f-vector."""
+    I = interval(u, v)
     n = len(u)
-    order, up, down, above = _cover_table(u, v)
-    up_labels = [[t for _j, t in row] for row in up]
-    faces = []
-    for i, x in enumerate(order):
-        bits = above[i]
-        while bits:
-            j = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            inner = [t for k, t in up[i] if above[k] >> j & 1]
-            G = _face_graph(n, inner, up_labels[j], down[i])
-            if G.is_acyclic():
-                faces.append((x, order[j], n - len(G.nodes())))
-    return faces
+    return [
+        (I.order[i], I.order[j], n - len(G.nodes()))
+        for i, j, G in face_graphs(I)
+        if G.is_acyclic()
+    ]
 
 
 def f_vector_of(faces, top: int):
@@ -435,11 +395,7 @@ def normal_cone(x: Perm, y: Perm, u: Perm, v: Perm):
             f"[{format_perm(x)},{format_perm(y)}] is not a face of"
             f" [{format_perm(u)},{format_perm(v)}]"
         )
-    levels = G.topological_levels()
-    witness = tuple(levels[G.rep[i]] for i in range(G.n))
-    equalities = block_partition(x, y)
-    strict = sorted(G.edges)
-    return equalities, strict, witness
+    return block_partition(x, y), sorted(G.edges), G.witness()
 
 
 def face_min_max(perms):
@@ -464,15 +420,15 @@ def _skeleton(u: Perm, v: Perm):
     """The sorted elements of [u, v] and the index pairs (i, j), sorted, of
     its covers that span polytope edges.  For a cover x < y the only label
     t with x < xt <= y is the cover's own."""
-    n = len(u)
-    order, up, down, _above = _cover_table(u, v)
+    I = interval(u, v)
+    up, down = I.up, I.down
     edges = [
         (i, j)
         for i, row in enumerate(up)
         for j, t in row
-        if _face_graph(n, [t], [s for _k, s in up[j]], down[i]).is_acyclic()
+        if _face_graph(len(u), [t], [s for _k, s in up[j]], down[i]).is_acyclic()
     ]
-    return order, edges
+    return I.order, edges
 
 
 def skeleton_edges(u: Perm, v: Perm):
@@ -548,9 +504,10 @@ def crown_type(u: Perm, v: Perm) -> int:
     lower = [z for z in mids if length(z) == length(u) + 1]
     upper = [z for z in mids if length(z) == length(u) + 2]
     k = len(lower)
+    covers = I.covers
     assert len(upper) == k and len(I) == 2 * k + 2
-    assert all(sum((a, b) in I.covers for b in upper) == 2 for a in lower)
-    assert all(sum((a, b) in I.covers for a in lower) == 2 for b in upper)
+    assert all(sum((a, b) in covers for b in upper) == 2 for a in lower)
+    assert all(sum((a, b) in covers for a in lower) == 2 for b in upper)
     assert k in (2, 3, 4)
     return k
 

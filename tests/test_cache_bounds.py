@@ -1,0 +1,45 @@
+"""Caches belong to a call, or have a bound: every lru_cache in bruhatpoly
+has a finite maxsize, and the suites' workers build the intervals they are
+asked about, not their subintervals."""
+
+import importlib
+import pkgutil
+
+import bruhatpoly
+from bruhatpoly import checks, parabolic
+from bruhatpoly.intervals import interval
+from bruhatpoly.perms import identity, longest_element, parse_perm
+
+
+def _module_caches():
+    for info in pkgutil.iter_modules(bruhatpoly.__path__):
+        if info.name == "__main__":
+            continue  # importing it runs the CLI
+        mod = importlib.import_module(f"bruhatpoly.{info.name}")
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_parameters"):
+                yield f"{info.name}.{name}", obj
+
+
+def test_every_module_cache_is_bounded():
+    caches = dict(_module_caches())
+    assert "intervals.interval" in caches
+    unbounded = [
+        name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None
+    ]
+    assert unbounded == []
+
+
+def test_faces_pair_builds_only_its_own_interval():
+    interval.cache_clear()
+    report = checks.faces_pair((identity(4), longest_element(4)))
+    assert report["failures"] == [] and report["lp_tests"] > 0
+    assert interval.cache_info().currsize == 1
+
+
+def test_parabolic_check_builds_no_subintervals():
+    interval.cache_clear()
+    parabolic._interval_point_sets.cache_clear()
+    report = parabolic.parabolic_faces_check(identity(4), parse_perm("3412"), (2,))
+    assert report["all_faces_are_interval_sets"] and report["faces_found"] > 0
+    assert interval.cache_info().currsize <= 2

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bruhatpoly import exactlp
 from bruhatpoly.errors import DomainError
 from bruhatpoly.exactlp import (
     affine_rank,
@@ -149,3 +150,21 @@ def test_scale_guard_is_on_the_lp_only():
         affine_rank([])
     with pytest.raises(DomainError, match="mixed"):
         affine_rank([(1, 2), (1, 2, 3)])
+
+
+def test_is_face_skips_the_rank_filter_on_one_point(monkeypatch):
+    """Two distinct points always have affine rank 1, so the rank filter
+    can never reject a one-point candidate; it is not run there."""
+    calls = []
+    real = exactlp.affine_rank
+
+    def counting(points):
+        calls.append(points)
+        return real(points)
+
+    monkeypatch.setattr(exactlp, "affine_rank", counting)
+    V = sorted(all_perms(3))
+    assert all(is_face([p], V) for p in V)
+    assert calls == []
+    assert not is_face([V[0], V[-1]], V)  # opposite vertices of the hexagon
+    assert calls

@@ -18,8 +18,11 @@ from bruhatpoly.perms import (
     all_perms,
     apply_transposition,
     bruhat_leq,
+    cover_transposition,
+    identity,
     is_cover,
     length,
+    longest_element,
 )
 
 
@@ -117,3 +120,48 @@ def test_all_maximal_chains_count():
     )
     # rank-2 intervals in Bruhat order are diamonds: exactly two chains
     assert len(chains) == 2
+
+
+def test_table_above_bits_are_bruhat_order_on_s5():
+    """The "above" bitsets of [e, w0] in S_5 equal bruhat_leq on all 14,400
+    ordered pairs, and between(i, j) lists the sandwich of the pair."""
+    I = interval(identity(5), longest_element(5))
+    order = I.order
+    assert len(order) == 120 and list(order) == sorted(order)
+    mismatches = [
+        (x, y)
+        for i, x in enumerate(order)
+        for j, y in enumerate(order)
+        if bool(I.above[i] >> j & 1) != bruhat_leq(x, y)
+    ]
+    assert mismatches == []
+    x, y = order[3], order[100]
+    assert bruhat_leq(x, y)
+    assert [order[k] for k in I.between(3, 100)] == [
+        z for z in order if bruhat_leq(x, z) and bruhat_leq(z, y)
+    ]
+
+
+def test_table_covers_are_the_cover_pairs_on_s4():
+    """On every pair u <= v of S_4: the covers derived from the table are
+    the pairs of [u, v] with y covering x, up carries their labels, and
+    down holds the same labels at the upper element."""
+    for u in all_perms(4):
+        for v in all_perms(4):
+            if not bruhat_leq(u, v):
+                continue
+            I = interval(u, v)
+            assert (I.order[0], I.order[-1]) == (u, v)
+            expected = frozenset(
+                (x, y) for x in I.elements for y in I.elements if is_cover(x, y)
+            )
+            assert I.covers == expected
+            labelled = {
+                (I.order[i], I.order[j], t)
+                for i, row in enumerate(I.up)
+                for j, t in row
+            }
+            assert labelled == {(x, y, cover_transposition(x, y)) for x, y in expected}
+            assert sorted((j, t) for j, row in enumerate(I.down) for t in row) == sorted(
+                (j, t) for row in I.up for j, t in row
+            )

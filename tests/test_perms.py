@@ -3,11 +3,11 @@ import pytest
 from bruhatpoly.errors import DomainError
 from bruhatpoly.perms import (
     all_perms,
-    all_transpositions,
     apply_transposition,
     bruhat_leq,
     compose,
     cover_transposition,
+    covers_down,
     covers_up,
     descents,
     format_perm,
@@ -88,6 +88,26 @@ def test_bruhat_leq_matches_hasse_reachability():
             assert bruhat_leq(u, v) == (v in reach[u])
 
 
-def test_all_transpositions_count():
-    assert len(list(all_transpositions(4))) == 6
-    assert len(list(all_transpositions(5))) == 10
+def test_covers_match_betweenness_on_s6():
+    """covers_up and covers_down list, in (i, k) order, exactly the swaps of
+    positions i < k in the given direction with no value strictly between
+    w_i and w_k at a position between them."""
+
+    def by_betweenness(w, up):
+        out = []
+        for i in range(len(w)):
+            for k in range(i + 1, len(w)):
+                lo, hi = sorted((w[i], w[k]))
+                if (w[i] < w[k]) == up and not any(
+                    lo < w[j] < hi for j in range(i + 1, k)
+                ):
+                    z = list(w)
+                    z[i], z[k] = z[k], z[i]
+                    out.append((tuple(z), (i + 1, k + 1)))
+        return out
+
+    S6 = all_perms(6)
+    assert len(S6) == 720
+    for w in S6:
+        assert covers_up(w) == by_betweenness(w, True)
+        assert covers_down(w) == by_betweenness(w, False)

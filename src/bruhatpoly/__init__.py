@@ -4,7 +4,7 @@ Pure-Python, exact-arithmetic library: Bruhat intervals and the generalized
 lifting property, the polytope of an interval (dimension, inequality
 description, faces, diameter, toric criterion), R-polynomials with the
 inversion-minimal recurrence and special matchings, and the parabolic
-(G/P) analogues, together with an exact rational LP oracle and exhaustive
+(G/P) analogues, together with an exact polytope face oracle and exhaustive
 property suites over small symmetric groups.
 """
 
@@ -46,7 +46,6 @@ from .polytopes import (
     dimension,
     enumerate_faces,
     f_vector,
-    face_min_max,
     interval_matroid,
     is_face,
     is_toric,
@@ -88,7 +87,6 @@ __all__ = [
     "enumerate_faces",
     "extend_to_special_matching",
     "f_vector",
-    "face_min_max",
     "format_perm",
     "generalized_lift",
     "generalized_r_identity",

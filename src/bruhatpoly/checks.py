@@ -4,8 +4,7 @@ run exhaustively over S_n (n <= 4) or on seeded samples (any n).
 Each suite returns a JSON-able report dict with per-property counts, an
 explicit failure list (expected empty), and an overall "pass" flag.  The
 suites are deterministic: identical (n, sample, seed) inputs give identical
-reports, including the randomized functionals, which are seeded per
-interval.
+reports.
 """
 
 from __future__ import annotations
@@ -124,42 +123,37 @@ def dimension_pair(pair):
 def faces_pair(pair):
     """The face theorem on [u, v], every pair x <= y read from its cover
     table: the criterion (the face graphs of polytopes.face_graphs) agrees
-    with the LP on the vertex set of every [x, y], and the argmax set of
-    every normal-cone witness and of 20 seeded random functionals is an
-    interval, found by its Bruhat minimum and maximum."""
+    with the face lattice of exactlp on the vertex set of every [x, y],
+    each criterion face is exposed by its normal-cone witness, and the
+    lattice has no face beyond the criterion's, so every face is an
+    interval."""
     u, v = pair
     failures = []
     I = interval(u, v)
     V = list(I.order)
-    n = len(u)
+    lattice = exactlp.face_lattice(V)
 
     lp_tests = 0
-    witnesses = []
+    criterion_faces = 0
     for i, j, G in polytopes.face_graphs(I):
+        S = frozenset(V[k] for k in I.between(i, j))
         crit = G.is_acyclic()
-        lp = exactlp.is_face([V[k] for k in I.between(i, j)], V)
         lp_tests += 1
-        if crit != lp:
+        if crit != (S in lattice):
             failures.append(
-                f"{_pair_name(u, v)}: criterion {crit} vs LP {lp} on {_pair_name(V[i], V[j])}"
+                f"{_pair_name(u, v)}: criterion {crit} vs lattice {not crit} on {_pair_name(V[i], V[j])}"
             )
         if crit:
-            witnesses.append(G.witness())
-
-    # every oracle-found face is an interval with Bruhat min and max
-    rng = random.Random(f"faces:{format_perm(u)},{format_perm(v)}")
-    witnesses += [
-        tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(20)
-    ]
-    index = {z: k for k, z in enumerate(V)}
-    for w in witnesses:
-        F = [index[z] for z in exactlp.face_vertices(w, V)]
-        lo = [k for k in F if all(I.above[k] >> m & 1 for m in F)]
-        hi = [k for k in F if all(I.above[m] >> k & 1 for m in F)]
-        if not lo or not hi:
-            failures.append(f"{_pair_name(u, v)}: face at {w} has no min/max")
-        elif F != I.between(lo[0], hi[0]):
-            failures.append(f"{_pair_name(u, v)}: face at {w} is not an interval")
+            criterion_faces += 1
+            w = G.witness()
+            if set(exactlp.face_vertices(w, V)) != S:
+                failures.append(
+                    f"{_pair_name(u, v)}: witness {w} does not expose {_pair_name(V[i], V[j])}"
+                )
+    if len(lattice) != criterion_faces:
+        failures.append(
+            f"{_pair_name(u, v)}: {len(lattice)} faces, {criterion_faces} of them intervals"
+        )
 
     failures += diameter_pair(pair)["failures"]
     adj = {z: [] for z in V}

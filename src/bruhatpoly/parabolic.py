@@ -16,7 +16,6 @@ representative of its coset.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 from . import exactlp
 from .errors import DomainError
@@ -97,10 +96,9 @@ def _interval_point_sets(n: int, J):
 def parabolic_faces_check(u: Perm, v: Perm, J) -> dict:
     """Executable check of the faces theorem for the parabolic polytope.
 
-    Candidate faces come from two sources: argmax sets of all integer
-    functionals with entries in 0..n-1, and every subinterval point set
-    {p(z) : x <= z <= y} confirmed by the LP face oracle.  Each face found
-    must be such a point set for some x <= y with y minimal in its coset;
+    The faces are the whole face lattice of the weight points, computed by
+    exactlp from the points alone.  Each face must be a point set
+    {p(z) : x <= z <= y} for some x <= y with y minimal in its coset;
     0-faces must biject with the cosets meeting [u, v]; 1-faces must join
     cover-related cosets.
     """
@@ -110,40 +108,25 @@ def parabolic_faces_check(u: Perm, v: Perm, J) -> dict:
     J = check_subset(n, J)
     I = interval(u, v)
     V = parabolic_bip_vertices(u, v, J)
-    pts = [weight_point(z, J) for z in I.order]
-
-    faces = {
-        frozenset(exactlp.face_vertices(w, V)) for w in product(range(n), repeat=n)
-    }
-    local_sets = {
-        frozenset(pts[k] for k in I.between(i, j)) for i, j in I.pairs()
-    }
-    # the argmax sets above are faces already; the LP decides the rest
-    faces |= {S for S in local_sets - faces if exactlp.is_face(sorted(S), V)}
+    faces = exactlp.face_lattice(V)
 
     # the face's defining interval need not sit inside [u, v], so the
     # candidate point sets range over every [x, y] with y minimal
     interval_sets = _interval_point_sets(n, J)
-    violations = [
-        sorted(F) for F in faces if F not in interval_sets
-    ]
+    violations = sorted(sorted(F) for F in faces if F not in interval_sets)
 
-    extremes = exactlp.extreme_points(V)
     cosets = coset_reps_in_interval(u, v, J)
-    zero_cells_match_cosets = (
-        list(extremes) == V and len(V) == len(cosets)
-    )
+    vertices = sum(1 for F in faces if len(F) == 1)
+    zero_cells_match_cosets = vertices == len(V) == len(cosets)
 
-    dims = {F: exactlp.affine_rank(sorted(F)) for F in faces}
+    pts = [weight_point(z, J) for z in I.order]
     cover_sets = {
         frozenset((pts[i], pts[j])) for i, row in enumerate(I.up) for j, _t in row
     }
-    edges_ok = all(
-        F in cover_sets for F in faces if len(F) == 2 and dims[F] == 1
-    )
+    edges_ok = all(F in cover_sets for F in faces if len(F) == 2)
 
     by_dim = {}
-    for d in dims.values():
+    for d in (exactlp.affine_rank(sorted(F)) for F in faces):
         by_dim[d] = by_dim.get(d, 0) + 1
 
     return {

@@ -5,8 +5,9 @@ Combinatorial structure is read off the interval itself: the partition of
 {1..n} induced by chain labels gives dimension and affine span; matroids of
 first values give an inequality description; a small digraph criterion
 decides which subintervals give faces; the chain-label graph decides
-toricness.  The exact LP oracle (exactlp module) is used in tests as the
-geometric ground truth for all of this.
+toricness.  The exact polytope oracle (exactlp module), which computes
+faces from the points alone, is the geometric ground truth for all of
+this in the tests and suites.
 """
 
 from __future__ import annotations
@@ -396,19 +397,6 @@ def normal_cone(x: Perm, y: Perm, u: Perm, v: Perm):
             f" [{format_perm(u)},{format_perm(v)}]"
         )
     return block_partition(x, y), sorted(G.edges), G.witness()
-
-
-def face_min_max(perms):
-    """Bruhat minimum and maximum of a face's vertex set; their absence
-    would contradict the faces-are-intervals theorem."""
-    perms = list(perms)
-    if not perms:
-        raise DomainError("empty vertex set")
-    mins = [x for x in perms if all(bruhat_leq(x, z) for z in perms)]
-    maxs = [y for y in perms if all(bruhat_leq(z, y) for z in perms)]
-    if not mins or not maxs:
-        raise DomainError("vertex set has no Bruhat minimum/maximum")
-    return mins[0], maxs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
+import ast
+from collections import Counter
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -7,10 +11,10 @@ from bruhatpoly.errors import DomainError
 from bruhatpoly.exactlp import (
     affine_rank,
     extreme_points,
+    face_lattice,
     face_vertices,
     hull_membership,
     is_face,
-    solve_eq_lp,
 )
 from bruhatpoly.perms import all_perms
 
@@ -67,56 +71,6 @@ def test_is_face_sees_the_affine_hull_beyond_S():
     assert is_face(S, S + [(2, 1), (-1, 1)])
 
 
-def test_solve_eq_lp_optimal():
-    # max x + y subject to x + y + s = 3, x - y = 1, all >= 0
-    status, x, obj = solve_eq_lp(
-        [[1, 1, 1], [1, -1, 0]], [3, 1], [1, 1, 0]
-    )
-    assert status == "optimal"
-    assert obj == 3
-    assert x[0] - x[1] == 1 and x[0] + x[1] + x[2] == 3
-
-
-def test_solve_eq_lp_infeasible():
-    status, _, _ = solve_eq_lp([[1, 1], [1, 1]], [1, 2], [0, 0])
-    assert status == "infeasible"
-
-
-def test_solve_eq_lp_unbounded():
-    status, _, _ = solve_eq_lp([[1, -1]], [0], [1, 0])
-    assert status == "unbounded"
-
-
-def test_solve_eq_lp_fractional_data():
-    status, x, obj = solve_eq_lp(
-        [[Fraction(1, 2), Fraction(1, 3)]], [Fraction(1)], [1, 0]
-    )
-    assert status == "optimal"
-    assert obj == 2 and x[0] == 2
-
-
-def test_solve_eq_lp_rejects_float_entries():
-    with pytest.raises(DomainError, match="int or Fraction, got 0.5"):
-        solve_eq_lp([[1, 0.5]], [1], [1, 0])
-
-
-def test_solve_eq_lp_rejects_str_entries():
-    with pytest.raises(DomainError, match="int or Fraction, got '1'"):
-        solve_eq_lp([[1, 1]], ["1"], [1, 0])
-
-
-def test_solve_eq_lp_rejects_ragged_rows():
-    with pytest.raises(DomainError, match="shape"):
-        solve_eq_lp([[1, 1], [1]], [1, 1], [1, 0])
-
-
-def test_solve_eq_lp_rejects_vectors_of_wrong_length():
-    with pytest.raises(DomainError, match="shape"):
-        solve_eq_lp([[1, 1]], [1, 2], [1, 0])
-    with pytest.raises(DomainError, match="shape"):
-        solve_eq_lp([[1, 1]], [1], [1, 0, 0])
-
-
 def test_extreme_points_drops_interior():
     pts = [(0, 0), (0, 2), (2, 0), (2, 2), (1, 1)]
     assert extreme_points(pts) == [(0, 0), (0, 2), (2, 0), (2, 2)]
@@ -146,25 +100,142 @@ def test_scale_guard_is_on_the_lp_only():
         hull_membership(S6[0], S6)
     with pytest.raises(DomainError, match="scale guard"):
         extreme_points(S6)
+    with pytest.raises(DomainError, match="scale guard"):
+        face_lattice(S6)
     with pytest.raises(DomainError, match="empty"):
         affine_rank([])
     with pytest.raises(DomainError, match="mixed"):
         affine_rank([(1, 2), (1, 2, 3)])
 
 
-def test_is_face_skips_the_rank_filter_on_one_point(monkeypatch):
-    """Two distinct points always have affine rank 1, so the rank filter
-    can never reject a one-point candidate; it is not run there."""
-    calls = []
-    real = exactlp.affine_rank
+def test_is_face_rejects_float_coordinates():
+    with pytest.raises(DomainError, match="int or Fraction, got 0.5"):
+        is_face([(0, 0)], [(0, 0), (1, 0.5)])
+    with pytest.raises(DomainError, match="int or Fraction, got 0.5"):
+        affine_rank([(0, 0), (1, 0.5)])
 
-    def counting(points):
-        calls.append(points)
-        return real(points)
 
-    monkeypatch.setattr(exactlp, "affine_rank", counting)
-    V = sorted(all_perms(3))
-    assert all(is_face([p], V) for p in V)
-    assert calls == []
-    assert not is_face([V[0], V[-1]], V)  # opposite vertices of the hexagon
-    assert calls
+def test_is_face_rejects_str_coordinates():
+    with pytest.raises(DomainError, match="int or Fraction, got '1'"):
+        is_face([(0, 0)], [(0, 0), ("1", 1)])
+    with pytest.raises(DomainError, match="int or Fraction, got '1'"):
+        affine_rank([(0, 0), ("1", 1)])
+
+
+def test_is_face_rejects_mixed_dimension():
+    with pytest.raises(DomainError, match="mixed"):
+        is_face([(0, 0)], [(0, 0), (1,)])
+    with pytest.raises(DomainError, match="mixed"):
+        face_lattice([(0, 0), (1, 1, 1)])
+
+
+def test_fraction_triangle():
+    # affine rank and faces see the Fraction coordinates, not their
+    # integer parts, and agree with the same triangle scaled by 2
+    half = Fraction(1, 2)
+    V = [(0, 0), (half, 0), (half, half)]
+    assert affine_rank(V) == 2
+    assert is_face([(0, 0), (half, 0)], V)
+    assert is_face([(0, 0), (1, 0)], [(0, 0), (1, 0), (1, 1)])
+    assert len(face_lattice(V)) == 7
+
+
+def _by_dim(faces):
+    return Counter(affine_rank(sorted(F)) for F in faces)
+
+
+CUBE = list(product((0, 1), repeat=3))
+
+
+def test_cube_face_lattice():
+    faces = face_lattice(CUBE)
+    assert len(faces) == 27
+    assert _by_dim(faces) == {0: 8, 1: 12, 2: 6, 3: 1}
+    assert all(is_face(sorted(F), CUBE) for F in faces)
+    # facets: the 6 sets where one coordinate is constant
+    facets = {F for F in faces if len(F) == 4}
+    assert facets == {
+        frozenset(p for p in CUBE if p[i] == b) for i in range(3) for b in (0, 1)
+    }
+
+
+def test_double_description_keeps_only_facets():
+    """The rays the double description ends with are exactly the facets.
+    A redundant ray would still be tight on a face, so the lattice alone
+    cannot see one; the adjacency test is what keeps them out."""
+    uniq, facets = exactlp._facets(CUBE)
+    assert sorted(
+        sorted(p for i, p in enumerate(uniq) if f >> i & 1) for f in facets
+    ) == sorted(sorted(p for p in CUBE if p[i] == b) for i in range(3) for b in (0, 1))
+    # the permutohedron of S_4 has one facet per proper nonempty subset;
+    # on the 5-cube the rank count alone would let 11 redundant rays by
+    assert len(exactlp._facets(all_perms(4))[1]) == 14
+    assert len(exactlp._facets(list(product((0, 1), repeat=5)))[1]) == 10
+
+
+def test_fraction_cube_has_the_same_lattice():
+    third = Fraction(1, 3)
+    scaled = {p: tuple(third * x + 1 for x in p) for p in CUBE}
+    faces = face_lattice(list(scaled.values()))
+    assert faces == {frozenset(scaled[p] for p in F) for F in face_lattice(CUBE)}
+
+
+def test_square_with_interior_point():
+    V = SQUARE + [(Fraction(1, 2), Fraction(1, 2))]
+    faces = face_lattice(V)
+    assert faces == face_lattice(SQUARE) - {frozenset(SQUARE)} | {frozenset(V)}
+    assert _by_dim(faces) == {0: 4, 1: 4, 2: 1}
+    assert not is_face([V[-1]], V)
+    assert extreme_points(V) == SQUARE
+
+
+def test_collinear_points():
+    V = [(0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)]
+    assert face_lattice(V) == {
+        frozenset([V[0]]), frozenset([V[-1]]), frozenset(V)
+    }
+    assert extreme_points(V) == [V[0], V[-1]]
+    assert hull_membership((Fraction(5, 2), Fraction(5, 2), 1), V)
+    assert not hull_membership((4, 4, 1), V)
+
+
+def test_duplicate_points():
+    V = SQUARE + SQUARE[:2]
+    assert face_lattice(V) == face_lattice(SQUARE)
+    assert is_face([(0, 0), (0, 1)], V)
+    assert extreme_points(V) == SQUARE
+
+
+def test_square_embedded_in_r4():
+    # an affine injection R^2 -> R^4 keeps every face
+    def lift(p):
+        a, b = p
+        return (a + b, 2 * a - b + 1, 3, a - 4 * b)
+
+    faces = face_lattice([lift(p) for p in SQUARE])
+    assert faces == {frozenset(map(lift, F)) for F in face_lattice(SQUARE)}
+    assert _by_dim(faces) == {0: 4, 1: 4, 2: 1}
+
+
+def test_single_point():
+    p = (1, Fraction(2, 3), 3)
+    assert face_lattice([p]) == {frozenset([p])}
+    assert face_lattice([p, p]) == {frozenset([p])}
+    assert is_face([p], [p])
+    assert extreme_points([p]) == [p]
+    assert hull_membership(p, [p])
+    assert not hull_membership((1, 1, 3), [p])
+
+
+def test_oracle_imports_only_errors():
+    """exactlp is ground truth for the Bruhat code, so it may take nothing
+    from the package but its error types."""
+    tree = ast.parse(Path(exactlp.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").startswith("bruhatpoly")
+        ):
+            module = (node.module or "").removeprefix("bruhatpoly.")
+            assert module == "errors", ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("bruhatpoly") for a in node.names)

@@ -24,7 +24,6 @@ from bruhatpoly.polytopes import (
     dimension,
     enumerate_faces,
     f_vector,
-    face_min_max,
     format_partition,
     increasing_cycle_free,
     interval_matroid,
@@ -183,12 +182,6 @@ def test_face_enumeration_builds_only_its_own_interval():
 def test_block_partition_rejects_incomparable():
     with pytest.raises(NotComparableError, match=r"^2431 is not <= 1324 in Bruhat order$"):
         block_partition(P("2431"), P("1324"))
-
-
-def test_face_min_max():
-    u, v = P("1243"), P("4132")
-    S = sorted(interval(P("2143"), v).elements)
-    assert face_min_max(S) == (P("2143"), v)
 
 
 def test_normal_cone_witness_exposes_face():

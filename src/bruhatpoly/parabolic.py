@@ -15,6 +15,7 @@ representative of its coset.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from . import exactlp
@@ -125,9 +126,11 @@ def parabolic_faces_check(u: Perm, v: Perm, J) -> dict:
     }
     edges_ok = all(F in cover_sets for F in faces if len(F) == 2)
 
-    by_dim = {}
-    for d in (exactlp.affine_rank(sorted(F)) for F in faces):
-        by_dim[d] = by_dim.get(d, 0) + 1
+    # the lattice is graded by dimension: a point has dimension 0, and any
+    # other face one more than the largest face strictly inside it
+    dims = {}
+    for F in sorted(faces, key=len):
+        dims[F] = max((d + 1 for G, d in dims.items() if G < F), default=0)
 
     return {
         "u": u,
@@ -136,7 +139,7 @@ def parabolic_faces_check(u: Perm, v: Perm, J) -> dict:
         "n_points": len(V),
         "n_cosets": len(cosets),
         "faces_found": len(faces),
-        "faces_by_dim": dict(sorted(by_dim.items())),
+        "faces_by_dim": dict(sorted(Counter(dims.values()).items())),
         "all_faces_are_interval_sets": not violations,
         "violations": violations,
         "zero_cells_match_cosets": zero_cells_match_cosets,

@@ -19,6 +19,7 @@ from . import exactlp
 from .errors import DomainError
 from .intervals import (
     BruhatInterval,
+    _bits,
     atom_transpositions,
     chain_transpositions,
     chain_via_coatoms,
@@ -47,7 +48,9 @@ class LabeledGraph:
         return frozenset(self.edges)
 
     def components(self):
-        return _components(self.n, self.edges)
+        """The blocks, each sorted, ordered by their smallest element."""
+        rep = _block_reps(self.n, self.edges)
+        return tuple(tuple(i + 1 for i, s in enumerate(rep) if s == r) for r in sorted(set(rep)))
 
     def is_forest(self) -> bool:
         """Forest with no multiple edges: every edge must join two
@@ -55,23 +58,17 @@ class LabeledGraph:
         return self.n - len(self.components()) == len(self.edges)
 
 
-def _components(n, edges):
-    parent = list(range(n + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+def _block_reps(n, edges):
+    """The components of the graph on {1..n} with one edge per pair (a, b),
+    as the tuple rep with rep[i-1] the smallest element of i's block.  Each
+    block is kept as a bitset shared by its members."""
+    block = [1 << i for i in range(n + 1)]
     for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    blocks = {}
-    for i in range(1, n + 1):
-        blocks.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(b)) for b in sorted(blocks.values()))
+        if not block[a] >> b & 1:
+            merged = block[a] | block[b]
+            for i in _bits(merged):
+                block[i] = merged
+    return tuple((m & -m).bit_length() - 1 for m in block[1:])
 
 
 def format_partition(blocks) -> str:
@@ -147,14 +144,10 @@ class Matroid:
 
 
 def _check_exchange(bases):
-    for I in bases:
-        for J in bases:
-            if I == J:
-                continue
-            for i in I - J:
-                if not any((I - {i}) | {j} in bases for j in J - I):
-                    return False
-    return True
+    return all(
+        any((I - {i}) | {j} in bases for j in J - I)
+        for I in bases for J in bases for i in I - J
+    )
 
 
 def interval_matroid(u: Perm, v: Perm, k: int, convention: str = "first-values") -> Matroid:
@@ -256,86 +249,75 @@ def bip_inequalities(u: Perm, v: Perm) -> PolytopeDescription:
 # ---------------------------------------------------------------------------
 
 
+def _kahn_order(nodes, pred):
+    """The Kahn order of a digraph that always takes the lowest ready node,
+    or None on a directed cycle.  nodes is the bitset of the nodes and
+    pred[r] that of the nodes with an edge into r, so a self-loop keeps r
+    from ever being ready."""
+    order, placed = [], 0
+    while nodes:
+        ready = nodes
+        while ready:
+            low = ready & -ready
+            if not pred[low.bit_length() - 1] & ~placed:
+                break
+            ready ^= low
+        else:
+            return None
+        order.append(low.bit_length() - 1)
+        placed |= low
+        nodes ^= low
+    return order
+
+
 @dataclass(frozen=True)
 class FaceGraph:
-    """Digraph on the blocks of the inner partition B_{x,y}.
+    """Digraph on the blocks of the inner partition B_{x,y}, in bitsets.
 
-    rep maps each i in {1..n} to the smallest element of its block; edges
-    are directed pairs of representatives.  A directed edge whose endpoints
-    merged into one node is recorded as a self-loop, which counts as a
-    cycle (it cannot be consistently ordered).
+    rep[i-1] is the smallest element of i's block; these representatives
+    are the nodes, bit r of nodes for representative r.  pred[r] has bit s
+    for each edge s -> r, repeats collapsed.  An edge whose endpoints merged
+    into one block is the self-loop bit r of pred[r], which counts as a
+    cycle: it cannot be consistently ordered.
     """
 
-    n: int
-    rep: tuple  # rep[i-1] = representative of i's block
-    edges: frozenset  # directed pairs of representatives, repeats collapsed
-
-    def nodes(self):
-        return sorted(set(self.rep))
-
-    def topological_levels(self):
-        """Kahn order with smallest-representative tie-break: a dict
-        node -> level usable as a normal-cone witness, or None when the
-        graph has a directed cycle."""
-        succ = {node: [] for node in self.nodes()}
-        indeg = dict.fromkeys(succ, 0)
-        for a, b in self.edges:
-            succ[a].append(b)
-            indeg[b] += 1
-        levels = {}
-        ready = sorted(node for node, d in indeg.items() if d == 0)
-        while ready:
-            node = ready.pop(0)
-            levels[node] = len(levels)
-            for b in succ[node]:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    ready.append(b)
-            ready.sort()
-        return levels if len(levels) == len(succ) else None
+    rep: tuple
+    nodes: int
+    pred: tuple
 
     def is_acyclic(self) -> bool:
-        return self.topological_levels() is not None
+        return _kahn_order(self.nodes, self.pred) is not None
 
     def witness(self):
         """An integer functional maximized over [u, v] exactly on the face
-        of an acyclic face graph: each coordinate is the topological level
-        of its block."""
-        levels = self.topological_levels()
-        return tuple(levels[r] for r in self.rep)
+        of an acyclic face graph: each coordinate is the place of its block
+        in the Kahn order."""
+        level = {r: k for k, r in enumerate(_kahn_order(self.nodes, self.pred))}
+        return tuple(level[r] for r in self.rep)
 
 
-def _require_nested(x, y, u, v):
+def _face_pred(n, rep, up_y, down_x):
+    """FaceGraph.pred of [x, y] inside [u, v] for the partition rep of
+    B_{x,y}: a cover y < yt with t = (a, b) in [u, v] is an edge
+    rep(a) -> rep(b), a cocover xt < x one rep(b) -> rep(a)."""
+    pred = [0] * (n + 1)
+    for a, b in up_y:
+        pred[rep[b - 1]] |= 1 << rep[a - 1]
+    for a, b in down_x:
+        pred[rep[a - 1]] |= 1 << rep[b - 1]
+    return tuple(pred)
+
+
+def face_graph(x: Perm, y: Perm, u: Perm, v: Perm) -> FaceGraph:
     if not (bruhat_leq(u, x) and bruhat_leq(x, y) and bruhat_leq(y, v)):
         raise DomainError(
             f"need {format_perm(u)} <= {format_perm(x)} <= {format_perm(y)} <= {format_perm(v)}"
         )
-
-
-def _face_graph(n, inner, up_y, down_x) -> FaceGraph:
-    """The face graph of [x, y] inside [u, v] from cover labels.
-
-    inner: the labels t with x < xt <= y; their graph's components are the
-    blocks of B_{x,y}.  up_y: the labels of the covers of y inside [u, v].
-    down_x: the labels of the cocovers of x inside [u, v].
-    """
-    rep = [0] * n
-    for block in _components(n, inner):
-        for i in block:
-            rep[i - 1] = block[0]
-    edges = {(rep[i - 1], rep[j - 1]) for i, j in up_y}
-    edges.update((rep[j - 1], rep[i - 1]) for i, j in down_x)
-    return FaceGraph(n, tuple(rep), frozenset(edges))
-
-
-def face_graph(x: Perm, y: Perm, u: Perm, v: Perm) -> FaceGraph:
-    _require_nested(x, y, u, v)
-    return _face_graph(
-        len(u),
-        atom_transpositions(x, y),
-        atom_transpositions(y, v),  # covers of y inside [u,v]
-        coatom_transpositions(u, x),  # cocovers of x inside [u,v]
-    )
+    n = len(u)
+    rep = _block_reps(n, atom_transpositions(x, y))
+    # the covers of y and the cocovers of x inside [u, v]
+    pred = _face_pred(n, rep, atom_transpositions(y, v), coatom_transpositions(u, x))
+    return FaceGraph(rep, sum(1 << r for r in set(rep)), pred)
 
 
 def is_face(x: Perm, y: Perm, u: Perm, v: Perm) -> bool:
@@ -344,15 +326,30 @@ def is_face(x: Perm, y: Perm, u: Perm, v: Perm) -> bool:
     return face_graph(x, y, u, v).is_acyclic()
 
 
-def face_graphs(I: BruhatInterval):
-    """(i, j, G) for every pair order[i] <= order[j] of the interval's cover
-    table, in (i, j) order, with G the face graph of that subinterval."""
+def _pair_graphs(I: BruhatInterval, pairs):
+    """(i, j, rep, nodes, pred), the face graph of [order[i], order[j]] in
+    FaceGraph's fields, for each (i, j) in pairs, read from the interval's
+    cover table.  The inner labels t with x < xt <= y fix the partition
+    B_{x,y}, and few label sets occur (a cover's is its own label), so the
+    partitions are memoised by them for the call."""
     n = len(I.u)
     above, up, down = I.above, I.up, I.down
     up_labels = [[t for _k, t in row] for row in up]
-    for i, j in I.pairs():
-        inner = [t for k, t in up[i] if above[k] >> j & 1]
-        yield i, j, _face_graph(n, inner, up_labels[j], down[i])
+    blocks = {}
+    for i, j in pairs:
+        inner = tuple(t for k, t in up[i] if above[k] >> j & 1)
+        part = blocks.get(inner)
+        if part is None:
+            rep = _block_reps(n, inner)
+            part = blocks[inner] = rep, sum(1 << r for r in set(rep))
+        yield i, j, *part, _face_pred(n, part[0], up_labels[j], down[i])
+
+
+def face_graphs(I: BruhatInterval):
+    """(i, j, G) for every pair order[i] <= order[j] of the interval's cover
+    table, in (i, j) order, with G the face graph of that subinterval."""
+    for i, j, *fields in _pair_graphs(I, I.pairs()):
+        yield i, j, FaceGraph(*fields)
 
 
 def enumerate_faces(u: Perm, v: Perm):
@@ -364,9 +361,9 @@ def enumerate_faces(u: Perm, v: Perm):
     I = interval(u, v)
     n = len(u)
     return [
-        (I.order[i], I.order[j], n - len(G.nodes()))
-        for i, j, G in face_graphs(I)
-        if G.is_acyclic()
+        (I.order[i], I.order[j], n - nodes.bit_count())
+        for i, j, _rep, nodes, pred in _pair_graphs(I, I.pairs())
+        if _kahn_order(nodes, pred) is not None
     ]
 
 
@@ -396,7 +393,8 @@ def normal_cone(x: Perm, y: Perm, u: Perm, v: Perm):
             f"[{format_perm(x)},{format_perm(y)}] is not a face of"
             f" [{format_perm(u)},{format_perm(v)}]"
         )
-    return block_partition(x, y), sorted(G.edges), G.witness()
+    edges = sorted((a, b) for b, bits in enumerate(G.pred) for a in _bits(bits))
+    return block_partition(x, y), edges, G.witness()
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +404,13 @@ def normal_cone(x: Perm, y: Perm, u: Perm, v: Perm):
 
 def _skeleton(u: Perm, v: Perm):
     """The sorted elements of [u, v] and the index pairs (i, j), sorted, of
-    its covers that span polytope edges.  For a cover x < y the only label
-    t with x < xt <= y is the cover's own."""
+    its covers that span polytope edges."""
     I = interval(u, v)
-    up, down = I.up, I.down
+    covers = [(i, j) for i, row in enumerate(I.up) for j, _t in row]
     edges = [
         (i, j)
-        for i, row in enumerate(up)
-        for j, t in row
-        if _face_graph(len(u), [t], [s for _k, s in up[j]], down[i]).is_acyclic()
+        for i, j, _rep, nodes, pred in _pair_graphs(I, covers)
+        if _kahn_order(nodes, pred) is not None
     ]
     return I.order, edges
 
@@ -426,27 +422,28 @@ def skeleton_edges(u: Perm, v: Perm):
 
 
 def diameter(u: Perm, v: Perm) -> int:
-    """Graph diameter of the 1-skeleton (BFS from every vertex)."""
+    """Graph diameter of the 1-skeleton: a BFS from every vertex in which
+    the adjacency rows, the frontier and the seen set are bitsets over the
+    indices of the interval's cover table."""
     order, edges = _skeleton(u, v)
-    adj = [[] for _ in order]
+    adj = [0] * len(order)
     for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
     best = 0
     for start in range(len(order)):
-        dist = {start: 0}
-        frontier = [start]
+        seen = frontier = 1 << start
+        steps = -1
         while frontier:
-            nxt = []
-            for a in frontier:
-                for b in adj[a]:
-                    if b not in dist:
-                        dist[b] = dist[a] + 1
-                        nxt.append(b)
-            frontier = nxt
-        if len(dist) != len(order):
+            steps += 1
+            reached = 0
+            for a in _bits(frontier):
+                reached |= adj[a]
+            frontier = reached & ~seen
+            seen |= frontier
+        if seen != (1 << len(order)) - 1:
             raise AssertionError("1-skeleton is disconnected")
-        best = max(best, max(dist.values()))
+        best = max(best, steps)
     return best
 
 
@@ -505,10 +502,6 @@ def crown_type(u: Perm, v: Perm) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _indicator(subset, n):
-    return tuple(1 if i in subset else 0 for i in range(1, n + 1))
-
-
 def _translate_to_origin(points):
     mins = [min(p[i] for p in points) for i in range(len(points[0]))]
     return sorted(tuple(a - m for a, m in zip(p, mins)) for p in points)
@@ -529,7 +522,7 @@ def minkowski_check(u: Perm, v: Perm, convention: str = "top-positions") -> bool
         raise DomainError("minkowski_check is guarded to n <= 4")
     matroids = [interval_matroid(u, v, k, convention) for k in range(1, n)]
     sums = {
-        tuple(sum(col) for col in zip(*(_indicator(B, n) for B in choice)))
+        tuple(sum(i in B for B in choice) for i in range(1, n + 1))
         for choice in product(*(sorted(M.bases, key=sorted) for M in matroids))
     }
     sum_vertices = exactlp.extreme_points(sorted(sums))

@@ -6,7 +6,7 @@ import importlib
 import pkgutil
 
 import bruhatpoly
-from bruhatpoly import checks, parabolic
+from bruhatpoly import checks, parabolic, polytopes
 from bruhatpoly.intervals import interval
 from bruhatpoly.perms import identity, longest_element, parse_perm
 
@@ -43,3 +43,32 @@ def test_parabolic_check_builds_no_subintervals():
     report = parabolic.parabolic_faces_check(identity(4), parse_perm("3412"), (2,))
     assert report["all_faces_are_interval_sets"] and report["faces_found"] > 0
     assert interval.cache_info().currsize <= 2
+
+
+def _entries(obj):
+    """The entries of a container and of every container nested in it."""
+    if isinstance(obj, dict):
+        return len(obj) + sum(_entries(k) + _entries(v) for k, v in obj.items())
+    if isinstance(obj, (list, set, tuple, frozenset)):
+        return len(obj) + sum(_entries(x) for x in obj)
+    return 0
+
+
+def test_polytopes_keeps_no_module_state():
+    """The face kernel's partition memos belong to one call: enumerating
+    the faces and the diameter of S_5 [e, w0] leaves every module-level
+    dict, list and set of polytopes, and everything nested in it, at its
+    size."""
+
+    def sizes():
+        return {
+            name: _entries(obj)
+            for name, obj in vars(polytopes).items()
+            if not name.startswith("__") and isinstance(obj, (dict, list, set))
+        }
+
+    before = sizes()
+    u, v = identity(5), longest_element(5)
+    assert len(polytopes.enumerate_faces(u, v)) == 541
+    assert polytopes.diameter(u, v) == 10
+    assert sizes() == before

@@ -166,6 +166,61 @@ def test_enumerate_faces_matches_face_criterion():
         assert sum((-1) ** i * c for i, c in enumerate(f)) == 1
 
 
+@pytest.fixture(scope="module")
+def lattices():
+    """(u, v, V, lattice, up, down) on all pairs u <= v of S_4 and seeded
+    S_5 pairs: the face lattice of V comes from exactlp, which shares no
+    code with the face criterion, and up[x] & down[y] is the vertex set of
+    [x, y] by bruhat_leq alone."""
+    pairs = (
+        [(z, z) for z in all_perms(4)]
+        + list(comparable_pairs(4))
+        + list(sampled_pairs(5, 200, seed=5))
+    )
+    out = []
+    for u, v in pairs:
+        V = [z for z in all_perms(len(u)) if bruhat_leq(u, z) and bruhat_leq(z, v)]
+        up = {x: frozenset(z for z in V if bruhat_leq(x, z)) for x in V}
+        down = {y: frozenset(z for z in V if bruhat_leq(z, y)) for y in V}
+        out.append((u, v, V, exactlp.face_lattice(V), up, down))
+    return out
+
+
+def test_enumerate_faces_is_the_exactlp_lattice(lattices):
+    for u, v, _V, lattice, up, down in lattices:
+        found = [up[x] & down[y] for x, y, _d in enumerate_faces(u, v)]
+        assert len(found) == len(lattice)
+        assert set(found) == lattice
+
+
+def test_face_dims_are_exactlp_affine_ranks(lattices):
+    for u, v, _V, _lattice, up, down in lattices:
+        for x, y, d in enumerate_faces(u, v):
+            assert d == exactlp.affine_rank(sorted(up[x] & down[y]))
+
+
+def test_diameter_is_bfs_over_exactlp_edges(lattices):
+    for u, v, V, lattice, _up, _down in lattices:
+        adj = {z: [] for z in V}
+        for F in lattice:
+            if len(F) == 2:
+                a, b = F
+                adj[a].append(b)
+                adj[b].append(a)
+        eccentricities = []
+        for start in V:
+            dist = {start: 0}
+            queue = [start]
+            for a in queue:
+                for b in adj[a]:
+                    if b not in dist:
+                        dist[b] = dist[a] + 1
+                        queue.append(b)
+            assert len(dist) == len(V)
+            eccentricities.append(max(dist.values()))
+        assert diameter(u, v) == max(eccentricities)
+
+
 def test_f_vector_s6_full_interval():
     assert f_vector(identity(6), longest_element(6)) == (720, 1800, 1560, 540, 62, 1)
 

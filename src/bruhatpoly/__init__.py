@@ -38,7 +38,6 @@ from .perms import (
     parse_perm,
 )
 from .polytopes import (
-    affine_span_equations,
     bip_inequalities,
     block_partition,
     crown_type,
@@ -71,7 +70,6 @@ __all__ = [
     "DomainError",
     "IntPolynomial",
     "NotComparableError",
-    "affine_span_equations",
     "atoms",
     "bip_inequalities",
     "block_partition",

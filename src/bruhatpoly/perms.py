@@ -87,20 +87,25 @@ def length(w: Perm) -> int:
 
 
 def bruhat_leq(u: Perm, v: Perm) -> bool:
-    """Strong Bruhat order comparison via the rank-matrix criterion.
-
-    u <= v iff for every i the sorted value sets {u(1..i)} and {v(1..i)}
-    compare entrywise.  Agrees with the reduced-subword definition.
-    """
+    """Strong Bruhat order by the rank-matrix criterion (Bjorner-Brenti,
+    Thm 2.1.5): u <= v iff d[c] = #{j <= i : v(j) > c} - #{j <= i : u(j) > c}
+    >= 0 for every prefix i < n and value c.  Counted as the prefix grows,
+    with no sorting: position i raises d on [u(i), v(i)) or lowers it on
+    [v(i), u(i)), and only a lowering can break the criterion."""
     n = len(u)
     if n != len(v):
         raise DomainError(f"size mismatch: {len(u)} vs {len(v)}")
-    if u == v:
-        return True
-    for i in range(1, n):
-        for a, b in zip(sorted(u[:i]), sorted(v[:i])):
-            if a > b:
-                return False
+    d = [0] * (n + 1)
+    for i in range(n - 1):
+        a, b = u[i], v[i]
+        if a < b:
+            for c in range(a, b):
+                d[c] += 1
+        elif a > b:
+            for c in range(b, a):
+                if not d[c]:
+                    return False
+                d[c] -= 1
     return True
 
 

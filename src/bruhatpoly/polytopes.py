@@ -13,7 +13,9 @@ this in the tests and suites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
+from operator import mul
 
 from . import exactlp
 from .errors import DomainError
@@ -101,7 +103,7 @@ def block_partition(u: Perm, v: Perm):
 
 
 # ---------------------------------------------------------------------------
-# vertices, dimension, affine span
+# vertices and dimension
 # ---------------------------------------------------------------------------
 
 
@@ -116,17 +118,6 @@ def dimension(u: Perm, v: Perm) -> int:
     return len(u) - len(block_partition(u, v))
 
 
-def affine_span_equations(u: Perm, v: Perm):
-    """One equation sum_{i in B} x_i = sum_{i in B} u_i per block B."""
-    eqs = []
-    for block in block_partition(u, v):
-        coeffs = [1 if i in block else 0 for i in range(1, len(u) + 1)]
-        rhs = sum(u[i - 1] for i in block)
-        assert rhs == sum(v[i - 1] for i in block)
-        eqs.append((tuple(coeffs), rhs))
-    return eqs
-
-
 # ---------------------------------------------------------------------------
 # matroids and the inequality description
 # ---------------------------------------------------------------------------
@@ -138,9 +129,13 @@ class Matroid:
     k: int
     bases: frozenset  # frozensets of size k
 
+    @cached_property
+    def _base_masks(self) -> tuple:
+        return tuple(sum(1 << i for i in B) for B in self.bases)
+
     def rank(self, A) -> int:
-        A = frozenset(A)
-        return max(len(A & B) for B in self.bases)
+        a = sum(1 << i for i in set(A))
+        return max((a & b).bit_count() for b in self._base_masks)
 
 
 def _check_exchange(bases):
@@ -196,20 +191,48 @@ class PolytopeDescription:
         set of w is a basis of the corresponding interval matroid.  (Read
         directly on the vector w the displayed system would contradict its
         own equality line; this coordinatization is the one in which the
-        description is exact.)
+        description is exact.)  This is violations() on one point.
         """
-        n = len(w)
-        pos = [0] * (n + 1)
-        for i, a in enumerate(w, start=1):
-            pos[a] = i
-        y = [n - pos[i] for i in range(1, n + 1)]
-        return all(
-            sum(c * x for c, x in zip(coeffs, w)) == rhs
-            for coeffs, rhs in self.equalities
-        ) and all(
-            sum(y[i - 1] for i in subset) <= rhs
-            for subset, rhs in self.inequalities
+        return not self.violations([w])
+
+    def violations(self, points) -> int:
+        """Bitmask of the points outside the description (bit j for the
+        permutation points[j]), in the coordinates of satisfied_by.  One
+        packed kernel: y_i = n - w^{-1}(i) over all points sits in W-bit
+        lanes of one int per i, a subset's lane sums are its prefix's plus
+        one such int, and adding T - rhs to every lane, T = 2^(W-1) - 1 >=
+        n(n-1)/2 (the largest subset sum), sets a lane's top bit exactly
+        when its sum exceeds rhs; rhs is clamped to [-1, T], so no lane
+        carries into the next."""
+        m = len(points)
+        if not m:
+            return 0
+        n = len(points[0])
+        W = (n * (n - 1) // 2).bit_length() + 1
+        T = (1 << (W - 1)) - 1
+        ones = ((1 << (W * m)) - 1) // ((1 << W) - 1)
+        digits = [format(y, f"0{W}b") for y in range(n)]
+        cols = [[] for _ in range(n)]
+        for w in reversed(points):
+            for pos, a in enumerate(w):
+                cols[a - 1].append(digits[n - 1 - pos])
+        unequal = sum(
+            1 << j for j, w in enumerate(points)
+            if any(sum(map(mul, coeffs, w)) != rhs for coeffs, rhs in self.equalities)
         )
+        lane = [int("".join(c), 2) for c in cols]
+        sums = {(): 0}
+
+        def lane_sums(A):
+            if A not in sums:
+                sums[A] = lane_sums(A[:-1]) + lane[A[-1] - 1]
+            return sums[A]
+
+        broken = 0
+        for subset, rhs in self.inequalities:
+            broken |= lane_sums(subset) + ones * (T - max(-1, min(rhs, T)))
+        flags = format((broken >> (W - 1)) & ones, "b")[::-1][::W]
+        return int(flags[::-1], 2) | unequal
 
     def to_json_dict(self):
         return {
@@ -230,17 +253,15 @@ def bip_inequalities(u: Perm, v: Perm) -> PolytopeDescription:
     """
     n = len(u)
     matroids = [interval_matroid(u, v, k, "first-values") for k in range(1, n)]
-    ineqs = []
-    for size in range(1, n):
-        for A in combinations(range(1, n + 1), size):
-            rhs = sum(M.rank(A) for M in matroids)
-            ineqs.append((A, rhs))
     desc = PolytopeDescription(
         vertices=tuple(vertices(u, v)),
         equalities=(((1,) * n, n * (n + 1) // 2),),
-        inequalities=tuple(ineqs),
+        inequalities=tuple(
+            (A, sum(M.rank(A) for M in matroids))
+            for size in range(1, n) for A in combinations(range(1, n + 1), size)
+        ),
     )
-    assert all(desc.satisfied_by(p) for p in desc.vertices)
+    assert not desc.violations(desc.vertices)
     return desc
 
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from bruhatpoly.cli import main
+from bruhatpoly.cli import _write_json, main
+from bruhatpoly.rpoly import IntPolynomial
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +61,49 @@ def test_polytope_ineq(capsys):
     desc = doc["results"]["description"]
     assert len(desc["inequalities"]) == 14
     assert desc["equalities"][0]["rhs"] == 10
+
+
+def test_polytope_ineq_at_n10(capsys):
+    u = ",".join(map(str, range(1, 11)))
+    v = "3,2,1,4,5,6,7,8,10,9"
+    code, out, _ = run_cli(capsys, "polytope", u, v, "--ineq", "--format", "json")
+    assert code == 0
+    desc = json.loads(out)["results"]["description"]
+    assert len(desc["vertices"]) == 12
+    assert len(desc["inequalities"]) == 2**10 - 2
+
+
+def _jsonable(obj):
+    """Reference conversions, fed to json.dumps(sort_keys=True, indent=2)."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+        return [_jsonable(x) for x in items]
+    if isinstance(obj, IntPolynomial):
+        return list(obj.coeffs)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[]], "d": [{}, {"e": []}]},
+        {"t": True, "f": False, "none": None, "list": [True, False, None, 0, -3]},
+        {"timing_seconds": 0.125, "tiny": 1e-07, "big": 1e300, "neg": -0.0},
+        {"set": {3, 1, 2}, "frozen": frozenset({"b", "a"}), "empty": set()},
+        {"r": IntPolynomial([1, -2, 0, 1]), "zero": IntPolynomial([])},
+        [[1, [2, [3, []]]], ("x", ("y",)), [{"k": [0]}]],
+        {1: "int key", "1": "str key", None: 0, "None": 1, True: 2, (1, 2): 3},
+        {"text": 'quote " backslash \\ newline \n tab \t', "uni": "\u00e9\u2603"},
+    ],
+)
+def test_json_writer_matches_json_dumps(doc):
+    out = []
+    _write_json(doc, out)
+    assert "".join(out) == json.dumps(_jsonable(doc), sort_keys=True, indent=2)
 
 
 def test_polytope_faces_includes_example(capsys):

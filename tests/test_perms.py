@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bruhatpoly.errors import DomainError
@@ -75,8 +77,8 @@ def test_covers_raise_length_by_one():
 
 
 def test_bruhat_leq_matches_hasse_reachability():
-    """The sorted-prefix comparison agrees with transitive closure of the
-    cover relation on all of S_4."""
+    """bruhat_leq agrees with the transitive closure of the cover relation
+    on all of S_4."""
     elems = list(all_perms(4))
     up = {w: {z for z, _ in covers_up(w)} for w in elems}
     reach = {w: {w} for w in elems}
@@ -111,3 +113,35 @@ def test_covers_match_betweenness_on_s6():
     for w in S6:
         assert covers_up(w) == by_betweenness(w, True)
         assert covers_down(w) == by_betweenness(w, False)
+
+
+def _sorted_prefix_leq(u, v):
+    """Reference: u <= v iff every prefix's sorted values compare entrywise."""
+    return all(
+        a <= b
+        for i in range(1, len(u))
+        for a, b in zip(sorted(u[:i]), sorted(v[:i]))
+    )
+
+
+def test_bruhat_leq_matches_sorted_prefix_criterion():
+    """The counting criterion against the sorted-prefix one on seeded S_7
+    and S_8 pairs: uniform ones (mostly incomparable) and ones drawn from
+    an interval [u, v] reached by an upward walk of covers."""
+    rng = random.Random(2014)
+    pairs = []
+    for n in (7, 8):
+        for _ in range(300):
+            pairs.append((tuple(rng.sample(range(1, n + 1), n)), tuple(rng.sample(range(1, n + 1), n))))
+            u = v = tuple(rng.sample(range(1, n + 1), n))
+            walk = [u]
+            for _ in range(rng.randint(1, 8)):
+                ups = covers_up(v)
+                if not ups:
+                    break
+                v = rng.choice(ups)[0]
+                walk.append(v)
+            x, y = rng.choice(walk), rng.choice(walk)
+            pairs += [(u, v), (v, u), (x, y), (y, x)]
+    assert sum(_sorted_prefix_leq(x, y) for x, y in pairs) > len(pairs) // 3
+    assert [bruhat_leq(x, y) for x, y in pairs] == [_sorted_prefix_leq(x, y) for x, y in pairs]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bruhatpoly import exactlp
@@ -13,7 +15,7 @@ from bruhatpoly.perms import (
     parse_perm,
 )
 from bruhatpoly.polytopes import (
-    affine_span_equations,
+    PolytopeDescription,
     atom_graph,
     bip_inequalities,
     block_partition,
@@ -68,14 +70,6 @@ def test_vertices_are_interval_permutations():
     assert set(vertices(u, v)) == set(interval(u, v).elements)
 
 
-def test_affine_span_equations_hold_on_vertices():
-    u, v = P("1234"), P("1432")
-    eqs = affine_span_equations(u, v)
-    for w in vertices(u, v):
-        for coeffs, rhs in eqs:
-            assert sum(c * x for c, x in zip(coeffs, w)) == rhs
-
-
 def test_bip_inequalities_golden_example():
     desc = bip_inequalities(P("1324"), P("2431"))
     assert desc.equalities == (((1, 1, 1, 1), 10),)
@@ -103,6 +97,74 @@ def test_bip_inequalities_exact_membership():
     for w in all_perms(4):
         inside = bruhat_leq(u, w) and bruhat_leq(w, v)
         assert desc.satisfied_by(w) == inside
+
+
+def _satisfied_by_sums(desc, w):
+    """Reference: the generator-sum membership test, point by point."""
+    n = len(w)
+    pos = [0] * (n + 1)
+    for i, a in enumerate(w, start=1):
+        pos[a] = i
+    y = [n - pos[i] for i in range(1, n + 1)]
+    return all(
+        sum(c * x for c, x in zip(coeffs, w)) == rhs for coeffs, rhs in desc.equalities
+    ) and all(sum(y[i - 1] for i in subset) <= rhs for subset, rhs in desc.inequalities)
+
+
+def _outside(desc, points):
+    return [j for j, w in enumerate(points) if not _satisfied_by_sums(desc, w)]
+
+
+def _bits_of(mask):
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def test_packed_violations_match_generator_sums_on_s4():
+    """violations() and satisfied_by against the reference on all n!
+    points, for every pair u <= v of S_4 with its right-hand sides moved
+    by -2..+1 (so some points break only one bound, by one) and, in one
+    trial of three, an equality that only some points meet."""
+    rng = random.Random(9)
+    S4 = all_perms(4)
+    for u, v in [(u, v) for u in S4 for v in S4 if bruhat_leq(u, v)]:
+        desc = bip_inequalities(u, v)
+        for trial in range(3):
+            moved = PolytopeDescription(
+                vertices=desc.vertices,
+                equalities=desc.equalities if trial else (((1, 1, 2, 1), 12),),
+                inequalities=tuple(
+                    (A, rhs + rng.choice((-2, -1, 0, 0, 1))) for A, rhs in desc.inequalities
+                ),
+            )
+            expected = _outside(moved, S4)
+            assert _bits_of(moved.violations(S4)) == expected
+            assert [j for j, w in enumerate(S4) if not moved.satisfied_by(w)] == expected
+
+
+def test_packed_violations_lanes_hold_sums_beyond_127():
+    """At n = 17 a subset sum of flag values reaches 136, past an 8-bit
+    lane; bounds just below and just above the sums of the points must
+    still be judged exactly."""
+    rng = random.Random(17)
+    n = 17
+    points = [identity(n), longest_element(n)] + [
+        tuple(rng.sample(range(1, n + 1), n)) for _ in range(30)
+    ]
+    subsets = [tuple(range(1, n)), tuple(range(2, n + 1))] + [
+        tuple(sorted(rng.sample(range(1, n + 1), k))) for k in (1, 5, 12, 14, 15, 16, 16)
+    ]
+    for trial in range(20):
+        w = rng.choice(points)
+        y = {a: n - 1 - pos for pos, a in enumerate(w)}
+        desc = PolytopeDescription(
+            vertices=(),
+            equalities=(((1,) * n, n * (n + 1) // 2),),
+            inequalities=tuple(
+                (A, sum(y[i] for i in A) + rng.choice((-1, 0, 1, 3))) for A in subsets
+            ),
+        )
+        assert max(sum(y[i] for i in A) for A in subsets) > 127
+        assert _bits_of(desc.violations(points)) == _outside(desc, points)
 
 
 def test_interval_matroid_ranks():

@@ -87,6 +87,15 @@ def dimension_pair(pair):
     u, v = pair
     failures = []
     I = interval(u, v)
+    for conv in ("first-values", "top-positions"):
+        for k in range(1, len(u)):
+            bases = polytopes.interval_matroid(u, v, k, conv).bases
+            # exchange axiom: for bases A, B and a in A - B, some b in B - A makes A - a + b a basis
+            if not all(
+                any((A - {a}) | {b} in bases for b in B - A)
+                for A in bases for B in bases for a in A - B
+            ):
+                failures.append(f"{_pair_name(u, v)}: basis exchange fails for k={k}, {conv}")
     blocks = polytopes.block_partition(u, v)
 
     chains = all_maximal_chains(I)

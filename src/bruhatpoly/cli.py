@@ -1,10 +1,15 @@
 """Command-line interface.
 
-Subcommands: interval, polytope, rpoly, check, parabolic.  Output is a
-single document, rendered as text (default) or JSON (--format json, sorted
-keys); identical inputs produce byte-identical output.  Wall-clock timing
-is only included when --timing is passed, precisely to keep the default
-output reproducible.
+Subcommands: interval, polytope, rpoly, check, parabolic.  The global flags
+--format, --jobs and --timing go before or after the subcommand.  main
+parses the arguments and the pair u v, runs the subcommand and prints one
+document, {"command": <subcommand>, "inputs": {...}, "results": {...}}:
+inputs holds u and v (and J for parabolic) or check's suite, n, sample and
+seed, and results is what the subcommand returns.  It is rendered as text
+(default) or JSON (--format json, sorted keys); identical inputs produce
+byte-identical output.  Wall-clock timing ("timing_seconds") is only
+included when --timing is passed, precisely to keep the default output
+reproducible.
 
 Exit codes: 0 success, 2 usage error, 3 domain error, 4 property-suite
 failure.
@@ -27,10 +32,9 @@ from .intervals import (
     interval,
     minimality_violation,
 )
-from .perms import apply_transposition, format_perm, parse_perm
+from .perms import format_perm, parse_perm
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_SUITE_FAILED = 4
 
@@ -109,53 +113,37 @@ def _write_json(obj, out, pad=""):
 def _render_text(doc):
     out = []
 
-    def scalar(value):
+    def flat(value):
+        items = value.values() if isinstance(value, dict) else value
+        return all(not isinstance(x, (dict, list, tuple)) for x in items)
+
+    def line(value):
+        # a flat dict as k=v pairs, a list space-separated
+        if isinstance(value, dict):
+            return "  ".join(f"{k}={v}" for k, v in value.items())
         if isinstance(value, (list, tuple)):
             return " ".join(str(v) for v in value)
         return str(value)
 
     def emit(key, value, depth):
         pad = "  " * depth
-        if isinstance(value, dict):
-            if all(not isinstance(v, (dict, list, tuple)) for v in value.values()):
-                body = "  ".join(f"{k}={v}" for k, v in value.items())
-                out.append(f"{pad}{key}: {body}")
-            else:
-                out.append(f"{pad}{key}:")
-                for k, v in value.items():
-                    emit(k, v, depth + 1)
+        if isinstance(value, dict) and not flat(value):
+            out.append(f"{pad}{key}:")
+            for k, v in value.items():
+                emit(k, v, depth + 1)
         elif isinstance(value, (list, tuple)) and value and isinstance(value[0], (dict, list, tuple)):
             out.append(f"{pad}{key}:")
             for v in value:
-                if isinstance(v, dict) and all(
-                    not isinstance(x, (dict, list, tuple)) for x in v.values()
-                ):
-                    body = "  ".join(f"{k}={x}" for k, x in v.items())
-                    out.append(f"{pad}  - {body}")
-                elif isinstance(v, (list, tuple)) and all(
-                    not isinstance(x, (dict, list, tuple)) for x in v
-                ):
-                    out.append(f"{pad}  - {scalar(v)}")
+                if isinstance(v, (dict, list, tuple)) and flat(v):
+                    out.append(f"{pad}  - {line(v)}")
                 else:
                     emit("-", v, depth + 1)
         else:
-            out.append(f"{pad}{key}: {scalar(value)}")
+            out.append(f"{pad}{key}: {line(value)}")
 
     for k, v in doc.items():
         emit(k, v, 0)
     return "\n".join(out)
-
-
-def _emit(doc, args, started):
-    """Print doc as text or, by _write_json, as JSON; --timing adds seconds."""
-    if args.timing:
-        doc["timing_seconds"] = round(time.perf_counter() - started, 3)
-    if args.format == "json":
-        out = []
-        _write_json(doc, out)
-        print("".join(out))
-    else:
-        print(_render_text(doc))
 
 
 def _fmt_pair(t):
@@ -167,9 +155,7 @@ def _fmt_pair(t):
 # ---------------------------------------------------------------------------
 
 
-def cmd_interval(args):
-    u = parse_perm(args.u)
-    v = parse_perm(args.v)
+def cmd_interval(args, u, v, inputs):
     I = interval(u, v)
     results = {
         "size": len(I),
@@ -191,16 +177,10 @@ def cmd_interval(args):
             "ut": format_perm(ut),
             "vt": format_perm(vt),
         }
-    return {
-        "command": "interval",
-        "inputs": {"u": format_perm(u), "v": format_perm(v)},
-        "results": results,
-    }, EXIT_OK
+    return results
 
 
-def cmd_polytope(args):
-    u = parse_perm(args.u)
-    v = parse_perm(args.v)
+def cmd_polytope(args, u, v, inputs):
     results = {}
     if args.dim:
         results["dimension"] = polytopes.dimension(u, v)
@@ -208,8 +188,7 @@ def cmd_polytope(args):
             polytopes.block_partition(u, v)
         )
     if args.ineq:
-        desc = polytopes.bip_inequalities(u, v)
-        results["description"] = desc.to_json_dict()
+        results["description"] = polytopes.bip_inequalities(u, v).to_json_dict()
     if args.faces:
         faces = polytopes.enumerate_faces(u, v)
         results["f_vector"] = list(
@@ -224,8 +203,7 @@ def cmd_polytope(args):
     if args.diameter:
         results["diameter"] = polytopes.diameter(u, v)
     if args.normal_cone:
-        x = parse_perm(args.normal_cone[0])
-        y = parse_perm(args.normal_cone[1])
+        x, y = map(parse_perm, args.normal_cone)
         eqs, strict, witness = polytopes.normal_cone(x, y, u, v)
         results["normal_cone"] = {
             "equal_blocks": [list(b) for b in eqs],
@@ -235,16 +213,10 @@ def cmd_polytope(args):
     if not results:
         results["dimension"] = polytopes.dimension(u, v)
         results["vertices"] = [format_perm(z) for z in polytopes.vertices(u, v)]
-    return {
-        "command": "polytope",
-        "inputs": {"u": format_perm(u), "v": format_perm(v)},
-        "results": results,
-    }, EXIT_OK
+    return results
 
 
-def cmd_rpoly(args):
-    u = parse_perm(args.u)
-    v = parse_perm(args.v)
+def cmd_rpoly(args, u, v, inputs):
     r = rpoly.r_polynomial(u, v)
     results = {"r": str(r), "coefficients": list(r.coeffs)}
     if args.tilde:
@@ -260,66 +232,29 @@ def cmd_rpoly(args):
                 f"({format_perm(u)}, {format_perm(v)}): {why['reason']} at "
                 f"positions {_fmt_pair(why['positions'])}"
             )
-        ut = apply_transposition(u, t)
-        vt = apply_transposition(v, t)
-        rhs = (
-            rpoly.Q * rpoly.r_polynomial(ut, vt)
-            + rpoly.Q_MINUS_1 * rpoly.r_polynomial(u, vt)
-        )
+        r_ut_vt, r_u_vt, rhs = rpoly.recurrence_terms(u, v, t)
         results["generalized"] = {
             "t": _fmt_pair(t),
             "lhs": str(r),
             "rhs": str(rhs),
-            "rhs_terms": {
-                "r_ut_vt": str(rpoly.r_polynomial(ut, vt)),
-                "r_u_vt": str(rpoly.r_polynomial(u, vt)),
-            },
+            "rhs_terms": {"r_ut_vt": str(r_ut_vt), "r_u_vt": str(r_u_vt)},
             "identity_holds": r == rhs,
         }
-    return {
-        "command": "rpoly",
-        "inputs": {"u": format_perm(u), "v": format_perm(v)},
-        "results": results,
-    }, EXIT_OK
+    return results
 
 
-def cmd_check(args):
-    report = checks.run_suite(
-        args.suite, n=args.n, sample=args.sample, seed=args.seed, jobs=args.jobs
-    )
-    doc = {
-        "command": "check",
-        "inputs": {
-            "suite": args.suite,
-            "n": args.n,
-            "sample": args.sample,
-            "seed": args.seed,
-        },
-        "results": report,
-    }
-    return doc, EXIT_OK if report["pass"] else EXIT_SUITE_FAILED
-
-
-def cmd_parabolic(args):
-    u = parse_perm(args.u)
-    v = parse_perm(args.v)
+def cmd_parabolic(args, u, v, inputs):
     J = _parse_J(args.J, len(u))
+    inputs["J"] = list(J)
     results = {"J": list(J)}
     if args.faces_check:
-        report = parabolic.parabolic_faces_check(u, v, J)
-        report = dict(report)
-        report["u"] = format_perm(u)
-        report["v"] = format_perm(v)
-        report["J"] = list(J)
+        report = dict(parabolic.parabolic_faces_check(u, v, J))
+        report.update(u=inputs["u"], v=inputs["v"], J=list(J))
         results["faces_check"] = report
     else:
         points = parabolic.parabolic_bip_vertices(u, v, J)
         results["vertices"] = [list(p) for p in points]
-    return {
-        "command": "parabolic",
-        "inputs": {"u": format_perm(u), "v": format_perm(v), "J": list(J)},
-        "results": results,
-    }, EXIT_OK
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -328,101 +263,99 @@ def cmd_parabolic(args):
 
 
 def build_parser():
+    # Every parser shares the one set of global-flag actions.  Their SUPPRESS
+    # defaults leave a flag not given after the subcommand to its value before
+    # it, or to the namespace main starts from; set_defaults on any of these
+    # parsers would rewrite the shared defaults instead.
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--format", choices=("text", "json"))
+    flags.add_argument("--jobs", type=_int_at_least(1), help="worker processes for suites")
+    flags.add_argument(
+        "--timing", action="store_true", help="include wall-clock timing in the output"
+    )
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("u")
+    pair.add_argument("v")
+
     parser = argparse.ArgumentParser(
         prog="bruhatpoly",
         description=(
             "Bruhat interval polytopes: intervals, lifting, dimension, faces, "
             "inequality descriptions, R-polynomials, and parabolic analogues."
         ),
+        parents=[flags],
     )
-    def global_options(p, suppress=False):
-        # registered on the main parser with real defaults and on every
-        # subparser with SUPPRESS, so the flags work in either position
-        default = argparse.SUPPRESS if suppress else None
-        p.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default=default if suppress else "text",
-        )
-        p.add_argument(
-            "--jobs",
-            type=_int_at_least(1),
-            default=default if suppress else 1,
-            help="worker processes for suites",
-        )
-        p.add_argument(
-            "--timing",
-            action="store_true",
-            default=default if suppress else False,
-            help="include wall-clock timing in the output",
-        )
-
-    global_options(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("interval", help="interval elements, atoms, coatoms, lifting")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("--lift", action="store_true", help="include a generalized-lift witness")
-    global_options(p, suppress=True)
-    p.set_defaults(func=cmd_interval)
+    def command(name, func, help):
+        p = sub.add_parser(name, parents=[pair, flags], help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("polytope", help="dimension, inequalities, faces, diameter")
-    p.add_argument("u")
-    p.add_argument("v")
+    p = command("interval", cmd_interval, "interval elements, atoms, coatoms, lifting")
+    p.add_argument("--lift", action="store_true", help="include a generalized-lift witness")
+
+    p = command("polytope", cmd_polytope, "dimension, inequalities, faces, diameter")
     p.add_argument("--dim", action="store_true")
     p.add_argument("--ineq", action="store_true")
     p.add_argument("--faces", action="store_true")
     p.add_argument("--toric", action="store_true")
     p.add_argument("--diameter", action="store_true")
     p.add_argument("--normal-cone", nargs=2, metavar=("x", "y"))
-    global_options(p, suppress=True)
-    p.set_defaults(func=cmd_polytope)
 
-    p = sub.add_parser("rpoly", help="R-polynomials and the generalized recurrence")
-    p.add_argument("u")
-    p.add_argument("v")
+    p = command("rpoly", cmd_rpoly, "R-polynomials and the generalized recurrence")
     p.add_argument("--generalized", metavar="i,k", help="check the recurrence at a transposition")
     p.add_argument("--tilde", action="store_true")
-    global_options(p, suppress=True)
-    p.set_defaults(func=cmd_rpoly)
 
-    p = sub.add_parser("check", help="run a property suite")
+    p = sub.add_parser("check", parents=[flags], help="run a property suite")
     p.add_argument("suite", choices=checks.SUITES)
     # S_1 has no pair u < v, so every suite would pass vacuously
     p.add_argument("--n", type=_int_at_least(2), default=4)
     p.add_argument("--sample", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=7)
-    global_options(p, suppress=True)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser(
+    p = command(
         "parabolic",
-        help="parabolic polytopes; J lists the fundamental-weight indices "
+        cmd_parabolic,
+        "parabolic polytopes; J lists the fundamental-weight indices "
         "(W_J is generated by the OTHER simple reflections)",
     )
-    p.add_argument("u")
-    p.add_argument("v")
     p.add_argument("--J", required=True, help="comma-separated weight indices, e.g. 1,3")
-    p.add_argument("--vertices", action="store_true")
+    p.add_argument("--vertices", action="store_true", help="no-op: vertices are the default output")
     p.add_argument("--faces-check", action="store_true")
-    global_options(p, suppress=True)
-    p.set_defaults(func=cmd_parabolic)
 
     return parser
 
 
 def main(argv=None) -> int:
     started = time.perf_counter()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(
+        argv, argparse.Namespace(format="text", jobs=1, timing=False)
+    )
     try:
-        doc, code = args.func(args)
+        if args.command == "check":
+            inputs = {"suite": args.suite, "n": args.n, "sample": args.sample, "seed": args.seed}
+            results = checks.run_suite(args.suite, args.n, args.sample, args.seed, args.jobs)
+        else:
+            u = parse_perm(args.u)
+            v = parse_perm(args.v)
+            inputs = {"u": format_perm(u), "v": format_perm(v)}
+            results = args.func(args, u, v, inputs)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _emit(doc, args, started)
-    return code
+    doc = {"command": args.command, "inputs": inputs, "results": results}
+    if args.timing:
+        doc["timing_seconds"] = round(time.perf_counter() - started, 3)
+    if args.format == "json":
+        out = []
+        _write_json(doc, out)
+        print("".join(out))
+    else:
+        print(_render_text(doc))
+    if args.command == "check" and not results["pass"]:
+        return EXIT_SUITE_FAILED
+    return EXIT_OK
 
 
 if __name__ == "__main__":

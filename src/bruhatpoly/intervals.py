@@ -197,11 +197,20 @@ def generalized_lift(u: Perm, v: Perm):
     ts = inversion_minimal_transpositions(u, v)
     assert ts, "an inversion-minimal transposition always exists for u < v"
     t = ts[0]
+    assert lifting_relations_hold(u, v, t)
+    return t, apply_transposition(u, t), apply_transposition(v, t)
+
+
+def lifting_relations_hold(u: Perm, v: Perm, t: Transposition) -> bool:
+    """The four relations: vt < v and u < ut are covers, u <= vt, ut <= v."""
     ut = apply_transposition(u, t)
     vt = apply_transposition(v, t)
-    assert length(vt) == length(v) - 1 and bruhat_leq(u, vt)
-    assert length(ut) == length(u) + 1 and bruhat_leq(ut, v)
-    return t, ut, vt
+    return (
+        length(vt) == length(v) - 1
+        and length(ut) == length(u) + 1
+        and bruhat_leq(u, vt)
+        and bruhat_leq(ut, v)
+    )
 
 
 def chain_via_coatoms(I: BruhatInterval):

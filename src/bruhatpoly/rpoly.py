@@ -19,6 +19,7 @@ from .intervals import (
     interval,
     inversion_minimal_transpositions,
     is_inversion_minimal,
+    lifting_relations_hold,
 )
 from .perms import (
     Perm,
@@ -205,6 +206,16 @@ def r_from_tilde(u: Perm, v: Perm) -> IntPolynomial:
     return out
 
 
+def recurrence_terms(u: Perm, v: Perm, t: Transposition):
+    """(R_{ut,vt}, R_{u,vt}, q R_{ut,vt} + (q-1) R_{u,vt}): the terms of the
+    generalized recurrence at any t, whose sum is R_{u,v} when t is
+    inversion-minimal."""
+    vt = apply_transposition(v, t)
+    r_ut_vt = r_polynomial(apply_transposition(u, t), vt)
+    r_u_vt = r_polynomial(u, vt)
+    return r_ut_vt, r_u_vt, Q * r_ut_vt + Q_MINUS_1 * r_u_vt
+
+
 def generalized_r_identity(u: Perm, v: Perm, t: Transposition) -> bool:
     """Check R_{u,v} = q R_{ut,vt} + (q-1) R_{u,vt} for an inversion-minimal
     t; the identity is a theorem, so False signals a bug."""
@@ -214,23 +225,7 @@ def generalized_r_identity(u: Perm, v: Perm, t: Transposition) -> bool:
         raise DomainError(
             f"{t} is not inversion-minimal on ({format_perm(u)}, {format_perm(v)})"
         )
-    ut = apply_transposition(u, t)
-    vt = apply_transposition(v, t)
-    lhs = r_polynomial(u, v)
-    rhs = Q * r_polynomial(ut, vt) + Q_MINUS_1 * r_polynomial(u, vt)
-    return lhs == rhs
-
-
-def lifting_relations_hold(u: Perm, v: Perm, t: Transposition) -> bool:
-    """The four relations: vt < v and u < ut are covers, u <= vt, ut <= v."""
-    ut = apply_transposition(u, t)
-    vt = apply_transposition(v, t)
-    return (
-        length(vt) == length(v) - 1
-        and length(ut) == length(u) + 1
-        and bruhat_leq(u, vt)
-        and bruhat_leq(ut, v)
-    )
+    return r_polynomial(u, v) == recurrence_terms(u, v, t)[2]
 
 
 def recurrence_counterexample_check() -> dict:
@@ -244,11 +239,6 @@ def recurrence_counterexample_check() -> dict:
     satisfies the identity.
     """
     u1, v1, t1 = (1, 3, 2, 4), (4, 2, 3, 1), (2, 4)
-    ut1 = apply_transposition(u1, t1)
-    vt1 = apply_transposition(v1, t1)
-    lhs = r_polynomial(u1, v1)
-    rhs = Q * r_polynomial(ut1, vt1) + Q_MINUS_1 * r_polynomial(u1, vt1)
-
     u2, v2, t2 = (1, 2, 4, 3), (4, 3, 1, 2), (2, 4)
     return {
         "counterexample": {
@@ -257,7 +247,7 @@ def recurrence_counterexample_check() -> dict:
             "t": t1,
             "lifting_relations_hold": lifting_relations_hold(u1, v1, t1),
             "inversion_minimal": is_inversion_minimal(u1, v1, t1),
-            "identity_holds": lhs == rhs,
+            "identity_holds": r_polynomial(u1, v1) == recurrence_terms(u1, v1, t1)[2],
         },
         "converse_failure": {
             "u": u2,

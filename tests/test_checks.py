@@ -1,7 +1,8 @@
-"""The suites' face checks are live: a face lattice that disagrees with the
-Bruhat side makes them fail."""
+"""The suites' checks are live: a face lattice that disagrees with the
+Bruhat side, or matroid bases that break the exchange axiom, make them
+fail."""
 
-from bruhatpoly import checks, exactlp, parabolic
+from bruhatpoly import checks, exactlp, parabolic, polytopes
 from bruhatpoly.perms import identity, longest_element, parse_perm
 
 
@@ -29,3 +30,18 @@ def test_parabolic_check_sees_a_face_that_is_no_interval_set(monkeypatch):
     report = parabolic.parabolic_faces_check(identity(4), parse_perm("3412"), (2,))
     assert not report["all_faces_are_interval_sets"]
     assert not report["edges_are_cover_pairs"]
+
+
+def test_dimension_pair_sees_a_broken_basis_exchange(monkeypatch):
+    # {12, 34} are the bases of no matroid: 12 - 1 + 3 and 12 - 1 + 4 are not bases
+    real = polytopes.interval_matroid
+
+    def broken(u, v, k, convention="first-values"):
+        M = real(u, v, k, convention)
+        if k == 2 and convention == "top-positions":
+            return polytopes.Matroid(M.n, k, frozenset({frozenset({1, 2}), frozenset({3, 4})}))
+        return M
+
+    monkeypatch.setattr(polytopes, "interval_matroid", broken)
+    failures = checks.dimension_pair((identity(4), longest_element(4)))["failures"]
+    assert failures == ["[1234,4321]: basis exchange fails for k=2, top-positions"]

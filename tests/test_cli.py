@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bruhatpoly import checks
 from bruhatpoly.cli import _write_json, main
 from bruhatpoly.rpoly import IntPolynomial
 
@@ -218,3 +219,26 @@ def test_sampled_suites_run_at_n6(capsys):
     doc = json.loads(out)["results"]
     assert [p["suite"] for p in doc["parts"]] == ["lifting", "dimension", "faces", "rpoly"]
     assert doc["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("--timing", "--format", "json", "interval", "1324", "2431"),
+    ("interval", "1324", "2431", "--timing", "--format", "json"),
+    ("--format", "json", "check", "lifting", "--n", "3", "--timing"),
+])
+def test_timing_before_or_after_the_subcommand(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert isinstance(json.loads(out)["timing_seconds"], float)
+
+
+def test_jobs_after_check_reaches_run_suite(capsys, monkeypatch):
+    seen = []
+
+    def run_suite(name, n=4, sample=None, seed=7, jobs=1):
+        seen.append(jobs)
+        return {"pass": True}
+
+    monkeypatch.setattr(checks, "run_suite", run_suite)
+    code, _, _ = run_cli(capsys, "check", "lifting", "--n", "3", "--jobs", "2")
+    assert (code, seen) == (0, [2])

@@ -151,7 +151,8 @@ def _fmt_pair(t):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed pair and the document's inputs and
+# returns its results
 # ---------------------------------------------------------------------------
 
 

@@ -64,51 +64,3 @@ from .rpoly import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BruhatInterval",
-    "DomainError",
-    "IntPolynomial",
-    "NotComparableError",
-    "atoms",
-    "bip_inequalities",
-    "block_partition",
-    "bruhat_leq",
-    "chain_via_atoms",
-    "chain_via_coatoms",
-    "coatoms",
-    "compose",
-    "crown_type",
-    "descents",
-    "diameter",
-    "dimension",
-    "enumerate_faces",
-    "extend_to_special_matching",
-    "f_vector",
-    "format_perm",
-    "generalized_lift",
-    "generalized_r_identity",
-    "identity",
-    "interval",
-    "interval_matroid",
-    "inverse",
-    "inversion_minimal_transpositions",
-    "is_cover",
-    "is_face",
-    "is_special_matching",
-    "is_toric",
-    "length",
-    "longest_element",
-    "min_coset_rep",
-    "minkowski_check",
-    "normal_cone",
-    "parabolic_bip_vertices",
-    "parabolic_faces_check",
-    "parse_perm",
-    "r_polynomial",
-    "r_tilde",
-    "recurrence_counterexample_check",
-    "special_matching_r_identity",
-    "vertices",
-    "weight_point",
-]

@@ -76,17 +76,14 @@ def _parse_J(text, n):
 
 def _write_json(obj, out, pad=""):
     """Append to out the text of json.dumps(obj, sort_keys=True, indent=2)
-    after the CLI's conversions: keys become str (the last of colliding
-    keys wins), sets sorted lists, an IntPolynomial its coefficients.  With
-    an indent, json runs its pure-Python encoder; this one recursive pass
-    writes the same text in less time."""
+    after the CLI's one conversion: keys become str (the last of colliding
+    keys wins).  With an indent, json runs its pure-Python encoder; this
+    one recursive pass writes the same text in less time."""
     if type(obj) is int:
         out.append(int.__repr__(obj))
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, rpoly.IntPolynomial):
-        _write_json(obj.coeffs, out, pad)
-    elif isinstance(obj, (dict, list, tuple, set, frozenset)):
+    elif isinstance(obj, (dict, list, tuple)):
         if not obj:
             out.append("{}" if isinstance(obj, dict) else "[]")
             return
@@ -101,7 +98,7 @@ def _write_json(obj, out, pad=""):
             out.append("\n" + pad + "}")
             return
         head = "[\n" + inner
-        for value in sorted(obj) if isinstance(obj, (set, frozenset)) else obj:
+        for value in obj:
             out.append(head)
             _write_json(value, out, inner)
             head = ",\n" + inner

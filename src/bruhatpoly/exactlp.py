@@ -11,10 +11,10 @@ gcd.  Each ray carries the bitmask of the points it is tight on, which is
 its facet's vertex set, and two rays are combined only when they pass the
 combinatorial adjacency test.  Every face is an intersection of facets
 (Kaibel and Pfetsch, *Computing the face lattice of a polytope from its
-vertex-facet incidences*, 2002), so the face test, the extreme points,
-hull membership and the face lattice all read the facet bitmasks.  No
-floating point appears in any decision path, and nothing here knows about
-permutations: the module is ground truth for the Bruhat code.
+vertex-facet incidences*, 2002), so the face test, the extreme points and
+the face lattice all read the facet bitmasks.  No floating point appears
+in any decision path, and nothing here knows about permutations: the
+module is ground truth for the Bruhat code.
 
 Scale guards: the facet routines are meant for desk-scale instances (point
 sets from S_n with n <= 5).  The affine rank has no such guard.
@@ -186,20 +186,6 @@ def is_face(S, V) -> bool:
         raise DomainError("face candidate is not a subset of the point set")
     mask = sum(1 << index[s] for s in sset)
     return _closure(mask, facets, (1 << len(uniq)) - 1) == mask
-
-
-def hull_membership(q, points) -> bool:
-    """True iff q lies in conv(points): q is one of the points, or q is no
-    vertex of conv(points + [q])."""
-    dim = _check_guarded(points)
-    if len(q) != dim:
-        raise DomainError(f"dimension mismatch: {len(q)} vs {dim}")
-    q = tuple(q)
-    if q in map(tuple, points):
-        return True
-    uniq, facets = _facets([*points, q])
-    bit = 1 << uniq.index(q)
-    return _closure(bit, facets, (1 << len(uniq)) - 1) != bit
 
 
 def face_vertices(w, V):

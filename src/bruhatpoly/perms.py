@@ -28,12 +28,10 @@ def check_perm(w: Perm) -> Perm:
 
 def parse_perm(text: str) -> Perm:
     text = text.strip()
-    if "," in text:
-        w = tuple(int(part) for part in text.split(","))
-    else:
-        if not text.isdigit():
-            raise DomainError(f"cannot parse permutation: {text!r}")
-        w = tuple(int(ch) for ch in text)
+    try:
+        w = tuple(map(int, text.split(",") if "," in text else text))
+    except ValueError:
+        raise DomainError(f"cannot parse permutation: {text!r}") from None
     return check_perm(w)
 
 
@@ -160,15 +158,9 @@ def covers_down(w: Perm):
     return _cover_scan(w, False)
 
 
-def descents(w: Perm, side: str = "right") -> frozenset:
-    """Descent set as indices of simple reflections.
-
-    right: {i : w(i) > w(i+1)}; left: right descents of the inverse.
-    """
-    if side == "left":
-        return descents(inverse(w), "right")
-    if side != "right":
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+def descents(w: Perm) -> frozenset:
+    """The right descent set {i : w(i) > w(i+1)}, as indices of simple
+    reflections."""
     return frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
 
 

@@ -290,9 +290,7 @@ def is_special_matching(I: BruhatInterval, M: dict) -> bool:
     x < y satisfies M(x) = y or M(x) <= M(y)."""
     if not is_matching(I, M):
         raise DomainError("not a total Hasse-edge involution on the interval")
-    return all(
-        M[x] == y or bruhat_leq(M[x], M[y]) for x, y in I.covers
-    )
+    return _violated_cover(I, M) is None
 
 
 def multiplication_matching(I: BruhatInterval, t: Transposition):

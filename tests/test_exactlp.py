@@ -13,7 +13,6 @@ from bruhatpoly.exactlp import (
     extreme_points,
     face_lattice,
     face_vertices,
-    hull_membership,
     is_face,
 )
 from bruhatpoly.perms import all_perms
@@ -35,12 +34,13 @@ def test_affine_rank_translation_invariant():
     assert affine_rank(pts) == affine_rank(shifted)
 
 
-def test_hull_membership():
-    assert hull_membership((0, 0), SQUARE)
-    assert hull_membership((Fraction(1, 2), Fraction(1, 2)), SQUARE)
-    assert not hull_membership((2, 0), SQUARE)
-    with pytest.raises(DomainError):
-        hull_membership((0, 0, 0), SQUARE)
+def test_extreme_points_with_one_more_point():
+    # a point of the hull adds no extreme point; one outside it is one
+    assert extreme_points(SQUARE + [(0, 0)]) == SQUARE
+    assert extreme_points(SQUARE + [(Fraction(1, 2), Fraction(1, 2))]) == SQUARE
+    assert extreme_points(SQUARE + [(2, 0)]) == [(0, 0), (0, 1), (1, 1), (2, 0)]
+    with pytest.raises(DomainError, match="mixed"):
+        extreme_points(SQUARE + [(0, 0, 0)])
 
 
 def test_is_face_square():
@@ -96,8 +96,6 @@ def test_scale_guard_is_on_the_lp_only():
     assert affine_rank(S6) == 5
     with pytest.raises(DomainError, match="scale guard"):
         is_face(S6[:1], S6)
-    with pytest.raises(DomainError, match="scale guard"):
-        hull_membership(S6[0], S6)
     with pytest.raises(DomainError, match="scale guard"):
         extreme_points(S6)
     with pytest.raises(DomainError, match="scale guard"):
@@ -195,8 +193,8 @@ def test_collinear_points():
         frozenset([V[0]]), frozenset([V[-1]]), frozenset(V)
     }
     assert extreme_points(V) == [V[0], V[-1]]
-    assert hull_membership((Fraction(5, 2), Fraction(5, 2), 1), V)
-    assert not hull_membership((4, 4, 1), V)
+    assert extreme_points(V + [(Fraction(5, 2), Fraction(5, 2), 1)]) == [V[0], V[-1]]
+    assert extreme_points(V + [(4, 4, 1)]) == [V[0], (4, 4, 1)]
 
 
 def test_duplicate_points():
@@ -223,8 +221,8 @@ def test_single_point():
     assert face_lattice([p, p]) == {frozenset([p])}
     assert is_face([p], [p])
     assert extreme_points([p]) == [p]
-    assert hull_membership(p, [p])
-    assert not hull_membership((1, 1, 3), [p])
+    assert extreme_points([p, p]) == [p]
+    assert extreme_points([p, (1, 1, 3)]) == [p, (1, 1, 3)]
 
 
 def test_oracle_imports_only_errors():

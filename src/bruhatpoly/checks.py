@@ -17,6 +17,9 @@ from . import exactlp, parabolic, polytopes, rpoly
 from .errors import DomainError
 from .intervals import (
     all_maximal_chains,
+    atom_transpositions,
+    chain_transpositions,
+    coatom_transpositions,
     interval,
     inversion_minimal_transpositions,
 )
@@ -84,11 +87,18 @@ def lifting_pair(pair):
 
 
 def dimension_pair(pair):
+    """The dimension statements on [u, v]: basis exchange in every interval
+    matroid; one label partition for every maximal chain, the atoms and the
+    coatoms (so is_toric's block count is the chain-forest test, as
+    tests/test_polytopes.py checks on sampled pairs); no increasing cycle
+    in the atom or coatom labels; dimension = affine rank; and
+    bip_inequalities cutting out exactly the interval from S_n."""
     u, v = pair
+    n = len(u)
     failures = []
     I = interval(u, v)
     for conv in ("first-values", "top-positions"):
-        for k in range(1, len(u)):
+        for k in range(1, n):
             bases = polytopes.interval_matroid(u, v, k, conv).bases
             # exchange axiom: for bases A, B and a in A - B, some b in B - A makes A - a + b a basis
             if not all(
@@ -99,23 +109,22 @@ def dimension_pair(pair):
     blocks = polytopes.block_partition(u, v)
 
     chains = all_maximal_chains(I)
-    graphs = [polytopes.chain_graph(c) for c in chains]
-    if any(g.components() != blocks for g in graphs):
+    if any(polytopes.label_partition(n, chain_transpositions(c)) != blocks for c in chains):
         failures.append(f"{_pair_name(u, v)}: chain partition is chain-dependent")
 
-    ag = polytopes.atom_graph(u, v)
-    cg = polytopes.coatom_graph(u, v)
-    if not (ag.components() == cg.components() == blocks):
+    atoms = atom_transpositions(u, v)
+    coatoms = coatom_transpositions(u, v)
+    if not (polytopes.label_partition(n, atoms) == polytopes.label_partition(n, coatoms) == blocks):
         failures.append(f"{_pair_name(u, v)}: atom/coatom partitions differ")
     if not (
-        polytopes.increasing_cycle_free(ag)
-        and polytopes.increasing_cycle_free(cg)
+        polytopes.increasing_cycle_free(n, atoms)
+        and polytopes.increasing_cycle_free(n, coatoms)
     ):
         failures.append(f"{_pair_name(u, v)}: atom/coatom graph has an increasing cycle")
 
     failures += dimension_rank_pair(pair)["failures"]
 
-    points = all_perms(len(u))
+    points = all_perms(n)
     outside = sum(1 << j for j, w in enumerate(points) if w not in I.elements)
     wrong = (polytopes.bip_inequalities(u, v).violations(points) ^ outside).bit_count()
     if wrong:

@@ -31,6 +31,7 @@ from .intervals import (
     generalized_lift,
     interval,
     minimality_violation,
+    require_leq,
 )
 from .perms import format_perm, parse_perm
 
@@ -222,6 +223,7 @@ def cmd_rpoly(args, u, v, inputs):
         results["r_tilde"] = str(rt)
         results["r_tilde_coefficients"] = list(rt.coeffs)
     if args.generalized:
+        require_leq(u, v)
         t = _parse_transposition(args.generalized, len(u))
         why = minimality_violation(u, v, t)
         if why is not None:

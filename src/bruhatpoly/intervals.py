@@ -21,6 +21,7 @@ from .perms import (
     Transposition,
     apply_transposition,
     bruhat_leq,
+    cover_transposition,
     covers_down,
     covers_up,
     format_perm,
@@ -240,8 +241,6 @@ def chain_via_atoms(I: BruhatInterval):
 
 def chain_transpositions(chain):
     """The transposition labels along a maximal chain."""
-    from .perms import cover_transposition
-
     return [cover_transposition(x, y) for x, y in zip(chain, chain[1:])]
 
 

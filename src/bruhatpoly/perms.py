@@ -73,11 +73,6 @@ def apply_transposition(w: Perm, t: Transposition) -> Perm:
     return tuple(lst)
 
 
-def simple_reflection(n: int, i: int) -> Perm:
-    """s_i as an element of S_n."""
-    return apply_transposition(identity(n), (i, i + 1))
-
-
 def length(w: Perm) -> int:
     """Number of inversions: pairs i < j with w(i) > w(j)."""
     n = len(w)

@@ -2,13 +2,12 @@
 vectors of its elements.
 
 Combinatorial structure is read off the interval itself: the partition of
-{1..n} induced by chain labels gives dimension and affine span; matroids of
-first values give an inequality description; a small digraph criterion,
-on face graphs held as bitset tuples (rep, nodes, pred), decides which
-subintervals give faces; the chain-label graph decides toricness.  The
-exact polytope oracle (exactlp module), which computes faces from the
-points alone, is the geometric ground truth for all of this in the tests
-and suites.
+{1..n} induced by chain labels gives dimension, affine span and toricness;
+matroids of first values give an inequality description; a small digraph
+criterion, on face graphs held as bitset tuples (rep, nodes, pred), decides
+which subintervals give faces.  The exact polytope oracle (exactlp module),
+which computes faces from the points alone, is the geometric ground truth
+for all of this in the tests and suites.
 """
 
 from __future__ import annotations
@@ -24,41 +23,16 @@ from .intervals import (
     BruhatInterval,
     _bits,
     atom_transpositions,
-    chain_transpositions,
-    chain_via_coatoms,
     coatom_transpositions,
     interval,
     require_leq,
 )
-from .perms import Perm, bruhat_leq, format_perm, is_cover, length
+from .perms import Perm, bruhat_leq, format_perm, length
 
 
 # ---------------------------------------------------------------------------
-# labeled graphs and set partitions
+# label partitions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LabeledGraph:
-    """Undirected graph on {1..n}; the edge multiset is retained so that
-    forest tests can detect multiple edges."""
-
-    n: int
-    edges: tuple  # tuple of (a, b) pairs with a < b, repeats allowed
-
-    @property
-    def simple_edges(self) -> frozenset:
-        return frozenset(self.edges)
-
-    def components(self):
-        """The blocks, each sorted, ordered by their smallest element."""
-        rep = _block_reps(self.n, self.edges)
-        return tuple(tuple(i + 1 for i, s in enumerate(rep) if s == r) for r in sorted(set(rep)))
-
-    def is_forest(self) -> bool:
-        """Forest with no multiple edges: every edge must join two
-        previously distinct components."""
-        return self.n - len(self.components()) == len(self.edges)
 
 
 def _block_reps(n, edges):
@@ -74,33 +48,24 @@ def _block_reps(n, edges):
     return tuple((m & -m).bit_length() - 1 for m in block[1:])
 
 
+def label_partition(n, labels):
+    """The partition of {1..n} joined by the transposition labels (a, b):
+    its blocks, each sorted, ordered by their smallest element."""
+    rep = _block_reps(n, labels)
+    return tuple(tuple(i + 1 for i, s in enumerate(rep) if s == r) for r in sorted(set(rep)))
+
+
 def format_partition(blocks) -> str:
     """Render a partition in bar notation, e.g. |1|234|."""
     return "|" + "|".join("".join(str(i) for i in b) for b in blocks) + "|"
 
 
-def chain_graph(chain) -> LabeledGraph:
-    """The labeled graph of a maximal chain: one edge per cover label."""
-    for x, y in zip(chain, chain[1:]):
-        if not is_cover(x, y):
-            raise DomainError("chain is not maximal (non-cover step)")
-    return LabeledGraph(len(chain[0]), tuple(chain_transpositions(chain)))
-
-
-def atom_graph(u: Perm, v: Perm) -> LabeledGraph:
-    return LabeledGraph(len(u), tuple(atom_transpositions(u, v)))
-
-
-def coatom_graph(u: Perm, v: Perm) -> LabeledGraph:
-    return LabeledGraph(len(u), tuple(coatom_transpositions(u, v)))
-
-
 def block_partition(u: Perm, v: Perm):
-    """The partition of {1..n} whose blocks are the components of the atom
-    graph; chain-independence makes this equal to the components of any
-    maximal chain's graph, and of the coatom graph."""
+    """The label partition of the atoms of [u, v]; chain-independence makes
+    this equal to the label partition of any maximal chain, and of the
+    coatoms."""
     require_leq(u, v)
-    return atom_graph(u, v).components()
+    return label_partition(len(u), atom_transpositions(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +204,11 @@ def bip_inequalities(u: Perm, v: Perm) -> PolytopeDescription:
     """Inequality description: sum x_i = n(n+1)/2 together with, for every
     proper nonempty subset A, sum_{i in A} x_i <= sum_k r_{M_k}(A), where
     M_k is the first-values matroid.  Redundant inequalities are retained.
+    checks.dimension_pair compares it with the interval on all of S_n.
     """
     n = len(u)
     matroids = [interval_matroid(u, v, k, "first-values") for k in range(1, n)]
-    desc = PolytopeDescription(
+    return PolytopeDescription(
         vertices=tuple(vertices(u, v)),
         equalities=(((1,) * n, n * (n + 1) // 2),),
         inequalities=tuple(
@@ -250,8 +216,6 @@ def bip_inequalities(u: Perm, v: Perm) -> PolytopeDescription:
             for size in range(1, n) for A in combinations(range(1, n + 1), size)
         ),
     )
-    assert not desc.violations(desc.vertices)
-    return desc
 
 
 # ---------------------------------------------------------------------------
@@ -441,25 +405,23 @@ def diameter(u: Perm, v: Perm) -> int:
 
 
 def is_toric(u: Perm, v: Perm) -> bool:
-    """Combinatorial stand-in for toricness of the associated variety:
-    the polytope has dimension equal to the interval rank, equivalently the
-    chain graph of any (hence every) maximal chain is a forest without
-    multiple edges."""
-    n = len(u)
-    rank = length(v) - length(u)
-    verdict = len(block_partition(u, v)) == n - rank
-    if verdict != chain_graph(chain_via_coatoms(interval(u, v))).is_forest():
-        raise AssertionError("block-count and chain-forest criteria disagree")
-    return verdict
+    """Combinatorial stand-in for toricness of the associated variety: the
+    polytope has dimension equal to the interval rank.  A maximal chain has
+    rank labels whose label partition is the blocks (checks.dimension_pair
+    verifies this on every chain), so this is the chain's labels forming a
+    forest with no repeated edge, as tests/test_polytopes.py checks."""
+    return len(block_partition(u, v)) == len(u) - (length(v) - length(u))
 
 
-def increasing_cycle_free(G: LabeledGraph) -> bool:
-    """No cycle (v0, v1, ..., v_{k-1}, v0) with v0 < v1 < ... < v_{k-1};
-    a doubled edge counts as an increasing 2-cycle."""
-    if len(G.edges) != len(G.simple_edges):
+def increasing_cycle_free(n, labels) -> bool:
+    """No cycle (v0, v1, ..., v_{k-1}, v0) with v0 < v1 < ... < v_{k-1} in
+    the graph on {1..n} with one edge per label (a, b); a repeated label
+    counts as an increasing 2-cycle."""
+    edges = set(labels)
+    if len(labels) != len(edges):
         return False
-    adj = {i: set() for i in range(1, G.n + 1)}
-    for a, b in G.simple_edges:
+    adj = {i: set() for i in range(1, n + 1)}
+    for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
 

@@ -26,12 +26,9 @@ from .perms import (
     Transposition,
     apply_transposition,
     bruhat_leq,
-    compose,
-    descents,
     format_perm,
     identity,
     length,
-    simple_reflection,
 )
 
 
@@ -51,9 +48,6 @@ class IntPolynomial:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
@@ -68,12 +62,6 @@ class IntPolynomial:
             tuple(x + y for x, y in zip(a, b)) + a[len(b):]
         )
 
-    def __neg__(self):
-        return IntPolynomial(tuple(-x for x in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not self.coeffs or not other.coeffs:
             return IntPolynomial()
@@ -82,18 +70,6 @@ class IntPolynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPolynomial(out)
-
-    def __pow__(self, n: int):
-        out = ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def shift(self, k: int):
-        """Multiply by q^k."""
-        if not self.coeffs:
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
 
     def __repr__(self):
         return f"IntPolynomial({self.coeffs!r})"
@@ -125,7 +101,7 @@ Q_MINUS_1 = IntPolynomial((-1, 1))
 
 
 def _least_right_descent(v: Perm) -> int:
-    return min(descents(v))
+    return next(i for i in range(1, len(v)) if v[i - 1] > v[i])
 
 
 # Memo of the least-right-descent recursion, keyed by (tilde, u, v); cleared
@@ -178,11 +154,9 @@ def _recurrence(u, v, tilde, chooser):
         if key in memo:
             return memo[key]
         i = chooser(v)
-        s = simple_reflection(len(v), i)
-        vs = compose(v, s)
-        us = compose(u, s)
-        result = rec(us, vs)
-        if i not in descents(u):
+        vs = apply_transposition(v, (i, i + 1))
+        result = rec(apply_transposition(u, (i, i + 1)), vs)
+        if u[i - 1] < u[i]:
             result = a * result + b * rec(u, vs)
         memo[key] = result
         return result
@@ -193,16 +167,13 @@ def _recurrence(u, v, tilde, chooser):
 def r_from_tilde(u: Perm, v: Perm) -> IntPolynomial:
     """Recover R from R~ by the substitution q^(d/2) R~(q^(1/2) - q^(-1/2)),
     i.e. sum_j c_j q^((d-j)/2) (q-1)^j with d the length difference."""
-    rt = r_tilde(u, v)
-    if not rt:
-        return ZERO
     d = length(v) - length(u)
-    out = ZERO
-    for j, c in enumerate(rt.coeffs):
-        if c == 0:
-            continue
-        assert (d - j) % 2 == 0, "tilde coefficients live in one parity class"
-        out = out + (Q_MINUS_1 ** j).shift((d - j) // 2) * IntPolynomial((c,))
+    out, power = ZERO, ONE  # power = (q-1)^j
+    for j, c in enumerate(r_tilde(u, v).coeffs):
+        if c:
+            assert (d - j) % 2 == 0, "tilde coefficients live in one parity class"
+            out = out + power * IntPolynomial((0,) * ((d - j) // 2) + (c,))
+        power = power * Q_MINUS_1
     return out
 
 
@@ -315,11 +286,9 @@ def special_matching_r_identity(I: BruhatInterval, M: dict, u: Perm) -> bool:
     if u not in I.elements:
         raise DomainError(f"{format_perm(u)} is not below {format_perm(I.v)}")
     w = I.v
-    c = 1 if length(M[u]) == length(u) + 1 else 0
-    qc = Q if c == 1 else ONE
-    lhs = r_polynomial(u, w)
-    rhs = qc * r_polynomial(M[u], M[w]) + (qc - ONE) * r_polynomial(u, M[w])
-    return lhs == rhs
+    qc, qc_minus_1 = (Q, Q_MINUS_1) if length(M[u]) == length(u) + 1 else (ONE, ZERO)
+    rhs = qc * r_polynomial(M[u], M[w]) + qc_minus_1 * r_polynomial(u, M[w])
+    return r_polynomial(u, w) == rhs
 
 
 def _violated_cover(I: BruhatInterval, M: dict):

@@ -150,6 +150,15 @@ def test_rpoly_rejects_non_minimal(capsys):
     assert "not inversion-minimal" in err
 
 
+def test_rpoly_generalized_needs_comparable(capsys):
+    # (2,3) passes the minimality scan, but 1243 is not <= 1324: the identity
+    # would hold vacuously with both sides 0
+    code, out, err = run_cli(capsys, "rpoly", "1243", "1324", "--generalized", "2,3")
+    assert code == 3
+    assert out == ""
+    assert err == "domain error: 1243 is not <= 1324 in Bruhat order\n"
+
+
 def test_parabolic_vertices(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "parabolic", "1234", "2413", "--J", "2"

@@ -1,10 +1,12 @@
-"""Every module of the package reads each name it imports.
+"""Every module of the package reads each name it imports, in the scope
+the import binds it in.
 
 A stdlib stand-in for a linter's unused-import rule.  __init__.py is left
 out: its imports are the package's public names.
 """
 
 import ast
+import symtable
 from pathlib import Path
 
 import pytest
@@ -13,21 +15,59 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bruhatpoly"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
-def unused_imports(source):
-    """The names bound by import statements in source that no expression
-    reads, in order of appearance; __future__ imports are not names."""
-    tree = ast.parse(source)
-    imported = []
+def _annotation_names(tree):
+    """The names read in annotations, which symtable does not see under
+    from __future__ import annotations."""
+    notes = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported += [a.asname or a.name.split(".")[0] for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported += [a.asname or a.name for a in node.names]
-    read = {
-        node.id for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            notes.append(node.annotation)
+    return {n.id for note in notes if note for n in ast.walk(note) if isinstance(n, ast.Name)}
+
+
+def _read_below(table, name):
+    """Whether a scope nested in table reads name as table's binding.  A
+    function that binds name hides it from itself and its nested scopes; a
+    class body that binds it hides it only from itself."""
+    for child in table.get_children():
+        sym = child.lookup(name) if name in child.get_identifiers() else None
+        if sym is not None and sym.is_local():
+            if child.get_type() == "function":
+                continue
+        elif sym is not None and sym.is_referenced():
+            return True
+        if _read_below(child, name):
+            return True
+    return False
+
+
+def unused_imports(source):
+    """The names bound by import statements in source that nothing reads
+    in the scope the import binds them in, scope by scope in order of
+    appearance; __future__ imports are not names, and a name read in any
+    annotation counts as read."""
+    tree = ast.parse(source)
+    future = {
+        a.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__" for a in node.names
     }
-    return [name for name in imported if name not in read]
+    annotated = _annotation_names(tree)
+    unused = []
+
+    def visit(table):
+        for sym in table.get_symbols():
+            name = sym.get_name()
+            if sym.is_imported() and not (
+                sym.is_referenced() or name in annotated or _read_below(table, name)
+            ):
+                unused.append(name)
+        for child in table.get_children():
+            visit(child)
+
+    visit(symtable.symtable(source, "<source>", "exec"))
+    return [name for name in unused if name not in future]
 
 
 def test_modules_found():
@@ -42,3 +82,17 @@ def test_no_unused_imports(path):
 def test_unused_import_is_caught():
     source = "import os\nfrom math import gcd, lcm\nfrom x import y as z\nprint(gcd, z)\n"
     assert unused_imports(source) == ["os", "lcm"]
+    # a local of the same name does not read the import
+    shadowed = "from itertools import chain\ndef f():\n    chain = []\n    return chain\n"
+    assert unused_imports(shadowed) == ["chain"]
+    # reads in annotations count, and a function reads its own imports
+    read = (
+        "from __future__ import annotations\n"
+        "from typing import Any\n"
+        "def f(x: Any) -> None:\n"
+        "    from math import gcd\n"
+        "    def g():\n"
+        "        return gcd\n"
+        "    return g\n"
+    )
+    assert unused_imports(read) == []

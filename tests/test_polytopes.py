@@ -5,7 +5,14 @@ import pytest
 from bruhatpoly import exactlp
 from bruhatpoly.checks import comparable_pairs, sampled_pairs
 from bruhatpoly.errors import DomainError, NotComparableError
-from bruhatpoly.intervals import all_maximal_chains, interval
+from bruhatpoly.intervals import (
+    all_maximal_chains,
+    atom_transpositions,
+    chain_transpositions,
+    chain_via_coatoms,
+    coatom_transpositions,
+    interval,
+)
 from bruhatpoly.perms import (
     all_perms,
     bruhat_leq,
@@ -16,11 +23,8 @@ from bruhatpoly.perms import (
 )
 from bruhatpoly.polytopes import (
     PolytopeDescription,
-    atom_graph,
     bip_inequalities,
     block_partition,
-    chain_graph,
-    coatom_graph,
     crown_type,
     diameter,
     dimension,
@@ -31,6 +35,7 @@ from bruhatpoly.polytopes import (
     interval_matroid,
     is_face,
     is_toric,
+    label_partition,
     minkowski_check,
     normal_cone,
     skeleton_edges,
@@ -61,7 +66,7 @@ def test_partition_is_chain_independent():
     u, v = P("1324"), P("4231")
     expected = frozenset(map(frozenset, block_partition(u, v)))
     for chain in all_maximal_chains(interval(u, v)):
-        comp = chain_graph(chain).components()
+        comp = label_partition(4, chain_transpositions(chain))
         assert frozenset(map(frozenset, comp)) == expected
 
 
@@ -333,8 +338,21 @@ def test_toric_and_crown():
     # rank-3 interval with a 3-crown face poset is toric
     u, v = P("1243"), P("4132")
     assert is_toric(u, v) == (crown_type(u, v) in (3, 4))
-    assert increasing_cycle_free(atom_graph(u, v))
-    assert increasing_cycle_free(coatom_graph(u, v))
+    assert increasing_cycle_free(4, atom_transpositions(u, v))
+    assert increasing_cycle_free(4, coatom_transpositions(u, v))
+
+
+def test_toric_forest_and_vertex_inequalities_on_sampled_pairs():
+    # is_toric is the block count alone: it must agree with the labels of a
+    # maximal chain forming a forest with no repeated edge; and every
+    # vertex must satisfy the inequality description
+    for n, sample in ((5, 300), (6, 100)):
+        for u, v in sampled_pairs(n, sample, 7):
+            labels = chain_transpositions(chain_via_coatoms(interval(u, v)))
+            forest = len(set(labels)) == len(labels) == n - len(label_partition(n, labels))
+            assert is_toric(u, v) == forest, (u, v)
+            desc = bip_inequalities(u, v)
+            assert desc.violations(desc.vertices) == 0, (u, v)
 
 
 def test_crown_type_requires_rank_three():

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
+from math import factorial
 
 from . import exactlp, parabolic, polytopes, rpoly
 from .errors import DomainError
@@ -33,8 +34,21 @@ from .perms import (
 )
 
 def _comparable(n: int):
-    perms = all_perms(n)
-    return ((u, v) for u in perms for v in perms if u != v and bruhat_leq(u, v))
+    S = range(1, n + 1)
+    return (
+        (u, v) for u in permutations(S) for v in permutations(S)
+        if u != v and bruhat_leq(u, v)
+    )
+
+
+def _lex_perm(k: int, n: int):
+    """The k-th permutation of S_n in lexicographic order, from 0."""
+    rest = list(range(1, n + 1))
+    out = []
+    for i in range(n - 1, -1, -1):
+        q, k = divmod(k, factorial(i))
+        out.append(rest.pop(q))
+    return tuple(out)
 
 
 def comparable_pairs(n: int):
@@ -44,21 +58,20 @@ def comparable_pairs(n: int):
 
 def sampled_pairs(n: int, sample: int, seed: int):
     """Deterministic sample of comparable pairs u < v, drawn by seeded
-    rejection from S_n x S_n; repeats are discarded.  Raises DomainError
-    when S_n has fewer than sample such pairs, where rejection would never
-    end."""
+    rejection from S_n x S_n without listing S_n; repeats are discarded.
+    Raises DomainError when S_n has fewer than sample such pairs, where
+    rejection would never end."""
     found = sum(1 for _ in islice(_comparable(n), sample))
     if found < sample:
         raise DomainError(
             f"sample {sample} exceeds the {found} comparable pairs u < v in S_{n}"
         )
     rng = random.Random(seed)
-    perms = all_perms(n)
     out = []
     seen = set()
     while len(out) < sample:
-        u = rng.choice(perms)
-        v = rng.choice(perms)
+        u = _lex_perm(rng.randrange(factorial(n)), n)
+        v = _lex_perm(rng.randrange(factorial(n)), n)
         if u != v and (u, v) not in seen and bruhat_leq(u, v):
             seen.add((u, v))
             out.append((u, v))
@@ -124,9 +137,8 @@ def dimension_pair(pair):
 
     failures += dimension_rank_pair(pair)["failures"]
 
-    points = all_perms(n)
-    outside = sum(1 << j for j, w in enumerate(points) if w not in I.elements)
-    wrong = (polytopes.bip_inequalities(u, v).violations(points) ^ outside).bit_count()
+    desc = polytopes.bip_inequalities(u, v)
+    wrong = sum(desc.satisfied_by(w) != (w in I.elements) for w in all_perms(n))
     if wrong:
         failures.append(
             f"{_pair_name(u, v)}: inequality description wrong on {wrong} points"
@@ -149,9 +161,13 @@ def faces_pair(pair):
 
     lp_tests = 0
     criterion_faces = 0
+    adj = {z: [] for z in V}  # the 1-skeleton: the covers that pass the criterion
     for i, j, G in polytopes.face_graphs(I, I.pairs()):
         S = frozenset(V[k] for k in I.between(i, j))
         crit = polytopes.is_acyclic(G)
+        if crit and len(S) == 2:
+            adj[V[i]].append(V[j])
+            adj[V[j]].append(V[i])
         lp_tests += 1
         if crit != (S in lattice):
             failures.append(
@@ -170,10 +186,6 @@ def faces_pair(pair):
         )
 
     failures += diameter_pair(pair)["failures"]
-    adj = {z: [] for z in V}
-    for x, y in polytopes.skeleton_edges(u, v):
-        adj[x].append(y)
-        adj[y].append(x)
     for z in V:
         ups = any(length(w) > length(z) for w in adj[z])
         downs = any(length(w) < length(z) for w in adj[z])

@@ -145,48 +145,15 @@ class PolytopeDescription:
         set of w is a basis of the corresponding interval matroid.  (Read
         directly on the vector w the displayed system would contradict its
         own equality line; this coordinatization is the one in which the
-        description is exact.)  This is violations() on one point.
+        description is exact.)
         """
-        return not self.violations([w])
-
-    def violations(self, points) -> int:
-        """Bitmask of the points outside the description (bit j for the
-        permutation points[j]), in the coordinates of satisfied_by.  One
-        packed kernel: y_i = n - w^{-1}(i) over all points sits in W-bit
-        lanes of one int per i, a subset's lane sums are its prefix's plus
-        one such int, and adding T - rhs to every lane, T = 2^(W-1) - 1 >=
-        n(n-1)/2 (the largest subset sum), sets a lane's top bit exactly
-        when its sum exceeds rhs; rhs is clamped to [-1, T], so no lane
-        carries into the next."""
-        m = len(points)
-        if not m:
-            return 0
-        n = len(points[0])
-        W = (n * (n - 1) // 2).bit_length() + 1
-        T = (1 << (W - 1)) - 1
-        ones = ((1 << (W * m)) - 1) // ((1 << W) - 1)
-        digits = [format(y, f"0{W}b") for y in range(n)]
-        cols = [[] for _ in range(n)]
-        for w in reversed(points):
-            for pos, a in enumerate(w):
-                cols[a - 1].append(digits[n - 1 - pos])
-        unequal = sum(
-            1 << j for j, w in enumerate(points)
-            if any(sum(map(mul, coeffs, w)) != rhs for coeffs, rhs in self.equalities)
-        )
-        lane = [int("".join(c), 2) for c in cols]
-        sums = {(): 0}
-
-        def lane_sums(A):
-            if A not in sums:
-                sums[A] = lane_sums(A[:-1]) + lane[A[-1] - 1]
-            return sums[A]
-
-        broken = 0
-        for subset, rhs in self.inequalities:
-            broken |= lane_sums(subset) + ones * (T - max(-1, min(rhs, T)))
-        flags = format((broken >> (W - 1)) & ones, "b")[::-1][::W]
-        return int(flags[::-1], 2) | unequal
+        n = len(w)
+        y = [0] * (n + 1)
+        for pos, a in enumerate(w):
+            y[a] = n - 1 - pos
+        return all(
+            sum(map(mul, coeffs, w)) == rhs for coeffs, rhs in self.equalities
+        ) and all(sum(y[i] for i in A) <= rhs for A, rhs in self.inequalities)
 
     def to_json_dict(self):
         return {
@@ -363,30 +330,19 @@ def normal_cone(x: Perm, y: Perm, u: Perm, v: Perm):
 # ---------------------------------------------------------------------------
 
 
-def _skeleton(u: Perm, v: Perm):
-    """The sorted elements of [u, v] and the index pairs (i, j), sorted, of
-    its covers that span polytope edges."""
-    I = interval(u, v)
-    covers = [(i, j) for i, row in enumerate(I.up) for j, _t in row]
-    edges = [(i, j) for i, j, G in face_graphs(I, covers) if _kahn_order(G) is not None]
-    return I.order, edges
-
-
-def skeleton_edges(u: Perm, v: Perm):
-    """Cover pairs of the interval that span polytope edges."""
-    order, edges = _skeleton(u, v)
-    return [(order[i], order[j]) for i, j in edges]
-
-
 def diameter(u: Perm, v: Perm) -> int:
-    """Graph diameter of the 1-skeleton: a BFS from every vertex in which
-    the adjacency rows, the frontier and the seen set are bitsets over the
-    indices of the interval's cover table."""
-    order, edges = _skeleton(u, v)
+    """Graph diameter of the 1-skeleton, whose edges are the covers that
+    pass the face criterion: a BFS from every vertex in which the adjacency
+    rows, the frontier and the seen set are bitsets over the indices of the
+    interval's cover table."""
+    I = interval(u, v)
+    order = I.order
+    covers = [(i, j) for i, row in enumerate(I.up) for j, _t in row]
     adj = [0] * len(order)
-    for i, j in edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+    for i, j, G in face_graphs(I, covers):
+        if _kahn_order(G) is not None:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     best = 0
     for start in range(len(order)):
         seen = frontier = 1 << start

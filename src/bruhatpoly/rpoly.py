@@ -261,7 +261,7 @@ def is_special_matching(I: BruhatInterval, M: dict) -> bool:
     x < y satisfies M(x) = y or M(x) <= M(y)."""
     if not is_matching(I, M):
         raise DomainError("not a total Hasse-edge involution on the interval")
-    return _violated_cover(I, M) is None
+    return _violated_cover(sorted(I.covers), M) is None
 
 
 def multiplication_matching(I: BruhatInterval, t: Transposition):
@@ -291,10 +291,10 @@ def special_matching_r_identity(I: BruhatInterval, M: dict, u: Perm) -> bool:
     return r_polynomial(u, w) == rhs
 
 
-def _violated_cover(I: BruhatInterval, M: dict):
-    """First cover (in sorted order) violating the special condition among
-    fully assigned pairs; None if none."""
-    for x, y in sorted(I.covers):
+def _violated_cover(covers, M: dict):
+    """The first cover x < y of covers, in the order given, with both ends
+    assigned and neither M(x) = y nor M(x) <= M(y); None if none."""
+    for x, y in covers:
         if x in M and y in M and M[x] != y and not bruhat_leq(M[x], M[y]):
             return x, y
     return None
@@ -307,10 +307,10 @@ def find_special_matchings(I: BruhatInterval):
 
 def _special_matchings(I: BruhatInterval, seeds: dict, adj: dict):
     """Every special matching of the interval that extends the involution
-    seeds, by backtracking over the elements in (length, word) order with
-    incremental cover checks; nothing when seeds is not a partial matching
-    along Hasse edges or already violates a cover.  adj is
-    hasse_neighbors(I)."""
+    seeds, by backtracking over the elements in (length, word) order; each
+    cover is checked once its last endpoint is matched.  Nothing when seeds
+    is not a partial matching along Hasse edges or already violates a
+    cover.  adj is hasse_neighbors(I)."""
     if any(seeds.get(z) != x or z not in adj.get(x, ()) for x, z in seeds.items()):
         return
     covers_at = {z: [] for z in I.elements}
@@ -321,15 +321,11 @@ def _special_matchings(I: BruhatInterval, seeds: dict, adj: dict):
     M = dict(seeds)
 
     def consistent_around(x, z):
-        for a, b in covers_at[x] + covers_at[z]:
-            if a in M and b in M and M[a] != b and not bruhat_leq(M[a], M[b]):
-                return False
-        return True
+        return _violated_cover(covers_at[x] + covers_at[z], M) is None
 
     def search():
         x = next((z for z in order if z not in M), None)
         if x is None:
-            assert is_special_matching(I, M)
             yield dict(M)
             return
         for z in sorted(adj[x]):
@@ -442,14 +438,13 @@ def extend_to_special_matching(u: Perm, v: Perm, t: Transposition):
         assign(u, ut)
         propagate_from(u)
     if set(M) == set(I.elements):
-        bad = _violated_cover(I, M)
+        bad = _violated_cover(sorted(I.covers), M)
         if bad is not None:
             x, y = bad
             conflict = {"kind": "cover-violation", "cover": (x, y), "Mx": M[x], "My": M[y]}
         elif M.get(u) != ut:
             conflict = {"kind": "seed-conflict", "u": u, "ut": ut, "Mu": M.get(u)}
         else:
-            assert is_special_matching(I, M)
             return M
     elif u in M and M.get(u) != ut:
         conflict = {"kind": "seed-conflict", "u": u, "ut": ut, "Mu": M.get(u)}

@@ -2,8 +2,10 @@
 Bruhat side, or matroid bases that break the exchange axiom, make them
 fail."""
 
+from dataclasses import replace
+
 from bruhatpoly import checks, exactlp, parabolic, polytopes
-from bruhatpoly.perms import identity, longest_element, parse_perm
+from bruhatpoly.perms import all_perms, identity, longest_element, parse_perm
 
 
 def _lattice_with(monkeypatch, change):
@@ -45,3 +47,45 @@ def test_dimension_pair_sees_a_broken_basis_exchange(monkeypatch):
     monkeypatch.setattr(polytopes, "interval_matroid", broken)
     failures = checks.dimension_pair((identity(4), longest_element(4)))["failures"]
     assert failures == ["[1234,4321]: basis exchange fails for k=2, top-positions"]
+
+
+def test_dimension_pair_sees_a_wrong_inequality(monkeypatch):
+    # x_1 <= 3 lowered to x_1 <= 2 in flag coordinates cuts off the six
+    # points with w(1) = 1
+    real = polytopes.bip_inequalities
+
+    def lowered(u, v):
+        desc = real(u, v)
+        (A, rhs), *rest = desc.inequalities
+        return replace(desc, inequalities=((A, rhs - 1), *rest))
+
+    monkeypatch.setattr(polytopes, "bip_inequalities", lowered)
+    failures = checks.dimension_pair((identity(4), longest_element(4)))["failures"]
+    assert failures == ["[1234,4321]: inequality description wrong on 6 points"]
+
+
+def test_faces_pair_sees_a_vertex_without_an_edge(monkeypatch):
+    # a self-loop on every cover into v: the coatoms lose their only edge
+    # up and v all its edges (the diameter check, which needs a connected
+    # skeleton, is left out)
+    real = polytopes.face_graphs
+
+    def looped(I, pairs):
+        top = I.order.index(I.v)
+        for i, j, (rep, nodes, pred) in real(I, pairs):
+            if j == top and len(I.between(i, j)) == 2:
+                r = rep[0]
+                pred = pred[:r] + (pred[r] | 1 << r,) + pred[r + 1:]
+            yield i, j, (rep, nodes, pred)
+
+    monkeypatch.setattr(polytopes, "face_graphs", looped)
+    monkeypatch.setattr(checks, "diameter_pair", lambda pair: {"failures": []})
+    failures = checks.faces_pair((identity(3), longest_element(3)))["failures"]
+    assert [f for f in failures if f.endswith("misses an edge")] == [
+        f"[123,321]: vertex {z} misses an edge" for z in ("231", "312", "321")
+    ]
+
+
+def test_sampler_unranks_in_lexicographic_order():
+    S5 = all_perms(5)
+    assert [checks._lex_perm(k, 5) for k in range(len(S5))] == S5

@@ -240,6 +240,13 @@ def test_sampled_suites_run_at_n6(capsys):
     assert doc["pass"] is True
 
 
+def test_sampled_check_does_not_list_s_n(capsys):
+    # S_12 has 479,001,600 elements; the sampler draws them one at a time
+    code, out, err = run_cli(capsys, "check", "lifting", "--n", "12", "--sample", "20")
+    assert (code, err) == (0, "")
+    assert "pass: True" in out
+
+
 @pytest.mark.parametrize("argv", [
     ("--timing", "--format", "json", "interval", "1324", "2431"),
     ("interval", "1324", "2431", "--timing", "--format", "json"),

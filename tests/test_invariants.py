@@ -108,15 +108,35 @@ def swapped(w, t):
     return tuple(w)
 
 
+def special(u, v, M):
+    """M is a special matching of [u, v], from the definition: an
+    involution without fixed points along the covers, with M(x) = y or
+    M(x) <= M(y) on every cover x < y."""
+    elems = [z for z in S4 if leq(u, z) and leq(z, v)]
+
+    def cover(x, y):
+        return leq(x, y) and ell(y) == ell(x) + 1
+
+    return (
+        sorted(M) == elems
+        and all(M[M[x]] == x and (cover(x, M[x]) or cover(M[x], x)) for x in elems)
+        and all(M[x] == y or leq(M[x], M[y]) for x in elems for y in elems if cover(x, y))
+    )
+
+
 def test_extension_exists_iff_some_special_matching_has_the_seeds():
+    # every matching found or extended is special, checked from the definition
     verdicts = []
     for u, v in PAIRS:
         if u == v:
             continue
         matchings = find_special_matchings(interval(u, v))
+        assert all(special(u, v, M) for M in matchings), (u, v)
         for t in inversion_minimal(u, v):
             ut, vt = swapped(u, t), swapped(v, t)
-            found = isinstance(extend_to_special_matching(u, v, t), dict)
+            extended = extend_to_special_matching(u, v, t)
+            found = isinstance(extended, dict)
+            assert not found or special(u, v, extended), (u, v, t)
             expected = any(M[v] == vt and M[u] == ut for M in matchings)
             assert found == expected, (u, v, t)
             verdicts.append(found)

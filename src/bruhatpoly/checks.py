@@ -152,7 +152,8 @@ def faces_pair(pair):
     with the face lattice of exactlp on the vertex set of every [x, y],
     each criterion face is exposed by its normal-cone witness, and the
     lattice has no face beyond the criterion's, so every face is an
-    interval."""
+    interval.  The 1-skeleton from the same pass has diameter = rank and
+    an edge up (but at v) and down (but at u) at every vertex."""
     u, v = pair
     failures = []
     I = interval(u, v)
@@ -161,13 +162,13 @@ def faces_pair(pair):
 
     lp_tests = 0
     criterion_faces = 0
-    adj = {z: [] for z in V}  # the 1-skeleton: the covers that pass the criterion
+    adj = [0] * len(V)  # the 1-skeleton, bitset rows: the covers that pass the criterion
     for i, j, G in polytopes.face_graphs(I, I.pairs()):
         S = frozenset(V[k] for k in I.between(i, j))
         crit = polytopes.is_acyclic(G)
         if crit and len(S) == 2:
-            adj[V[i]].append(V[j])
-            adj[V[j]].append(V[i])
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
         lp_tests += 1
         if crit != (S in lattice):
             failures.append(
@@ -185,11 +186,14 @@ def faces_pair(pair):
             f"{_pair_name(u, v)}: {len(lattice)} faces, {criterion_faces} of them intervals"
         )
 
-    failures += diameter_pair(pair)["failures"]
-    for z in V:
-        ups = any(length(w) > length(z) for w in adj[z])
-        downs = any(length(w) < length(z) for w in adj[z])
-        if (z != v and not ups) or (z != u and not downs):
+    d = polytopes.skeleton_diameter(adj)
+    if d is None:
+        failures.append(f"{_pair_name(u, v)}: 1-skeleton is disconnected")
+    elif d != I.rank:
+        failures.append(f"{_pair_name(u, v)}: diameter != rank")
+    # an edge is a cover, and V extends Bruhat order: up is a higher index
+    for k, z in enumerate(V):
+        if (z != v and not adj[k] >> k + 1) or (z != u and not adj[k] & (1 << k) - 1):
             failures.append(f"{_pair_name(u, v)}: vertex {format_perm(z)} misses an edge")
 
     if I.rank == 3:
@@ -246,8 +250,8 @@ def minkowski_pair(pair):
     }
 
 
-# the sampled workers of the faces and dimension suites; their exhaustive
-# workers run them too
+# the sampled workers of the faces and dimension suites; dimension_pair
+# runs its one too, faces_pair reads the diameter from its own skeleton
 def diameter_pair(pair):
     u, v = pair
     failures = []

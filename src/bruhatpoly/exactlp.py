@@ -11,10 +11,11 @@ gcd.  Each ray carries the bitmask of the points it is tight on, which is
 its facet's vertex set, and two rays are combined only when they pass the
 combinatorial adjacency test.  Every face is an intersection of facets
 (Kaibel and Pfetsch, *Computing the face lattice of a polytope from its
-vertex-facet incidences*, 2002), so the face test, the extreme points and
-the face lattice all read the facet bitmasks.  No floating point appears
-in any decision path, and nothing here knows about permutations: the
-module is ground truth for the Bruhat code.
+vertex-facet incidences*, 2002), so the face lattice is the facet
+bitmasks closed under intersection, and the face test and the extreme
+points read it.  No floating point appears in any decision path, and
+nothing here knows about permutations: the module is ground truth for the
+Bruhat code.
 
 Scale guards: the facet routines are meant for desk-scale instances (point
 sets from S_n with n <= 5).  The affine rank has no such guard.
@@ -37,16 +38,6 @@ def _check_points(points):
     dim = len(points[0])
     if any(len(p) != dim for p in points):
         raise DomainError("points of mixed dimension")
-    return dim
-
-
-def _check_guarded(points):
-    """_check_points plus the scale guard of the facet routines."""
-    dim = _check_points(points)
-    if len(points) > MAX_POINTS or dim > MAX_DIM:
-        raise DomainError(
-            f"scale guard exceeded: {len(points)} points in dimension {dim}"
-        )
     return dim
 
 
@@ -150,19 +141,12 @@ def _facets(points):
     return uniq, [z for _r, z in rays]
 
 
-def _closure(mask, facets, full):
-    """The smallest face containing the points of mask: the intersection
-    of the facets that contain them."""
-    for f in facets:
-        if mask & f == mask:
-            full &= f
-    return full
-
-
 def face_lattice(V):
     """Every face of conv(V), as the frozenset of the points of V on it:
     the facets closed under intersection, plus V itself."""
-    _check_guarded(V)
+    dim = _check_points(V)
+    if len(V) > MAX_POINTS or dim > MAX_DIM:
+        raise DomainError(f"scale guard exceeded: {len(V)} points in dimension {dim}")
     uniq, facets = _facets(V)
     masks = {(1 << len(uniq)) - 1}
     for f in facets:
@@ -174,18 +158,13 @@ def face_lattice(V):
 
 
 def is_face(S, V) -> bool:
-    """Is S the set of points of V on some face of conv(V)?  It is iff S
-    equals the intersection of the facets that contain it."""
-    _check_guarded(V)
-    uniq, facets = _facets(V)
-    index = {p: i for i, p in enumerate(uniq)}
-    sset = {tuple(s) for s in S}
+    """Is S the set of points of V on some face of conv(V)?"""
+    sset = frozenset(map(tuple, S))
     if not sset:
         raise DomainError("empty face candidate")
-    if not sset <= index.keys():
+    if not sset <= set(map(tuple, V)):
         raise DomainError("face candidate is not a subset of the point set")
-    mask = sum(1 << index[s] for s in sset)
-    return _closure(mask, facets, (1 << len(uniq)) - 1) == mask
+    return sset in face_lattice(V)
 
 
 def face_vertices(w, V):
@@ -196,7 +175,4 @@ def face_vertices(w, V):
 
 def extreme_points(points):
     """The extreme points, sorted: the points that are faces by themselves."""
-    _check_guarded(points)
-    uniq, facets = _facets(points)
-    full = (1 << len(uniq)) - 1
-    return [p for i, p in enumerate(uniq) if _closure(1 << i, facets, full) == 1 << i]
+    return sorted(p for F in face_lattice(points) if len(F) == 1 for p in F)

@@ -16,12 +16,11 @@ representative of its coset.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 
 from . import exactlp
 from .errors import DomainError
 from .intervals import interval
-from .perms import Perm, format_perm, identity, inverse, longest_element
+from .perms import Perm, format_perm, identity
 
 
 def check_subset(n: int, J) -> tuple:
@@ -54,12 +53,12 @@ def is_min_rep(z: Perm, J) -> bool:
 
 
 def weight_point(z: Perm, J) -> tuple:
-    """p(z)_i counts the j in J whose initial value set {z(1)..z(j)}
-    contains i, i.e. #{j in J : z^{-1}(i) <= j}."""
-    n = len(z)
-    J = check_subset(n, J)
-    zinv = inverse(z)
-    return tuple(sum(1 for j in J if zinv[i] <= j) for i in range(n))
+    """p(z): 1 at each value of z(1..j), for each j in J."""
+    p = [0] * len(z)
+    for j in check_subset(len(z), J):
+        for a in z[:j]:
+            p[a - 1] += 1
+    return tuple(p)
 
 
 def parabolic_bip_vertices(u: Perm, v: Perm, J):
@@ -78,19 +77,17 @@ def coset_reps_in_interval(u: Perm, v: Perm, J):
     return sorted({min_coset_rep(z, J) for z in interval(u, v).elements})
 
 
-@lru_cache(maxsize=8)
-def _interval_point_sets(n: int, J):
-    """The weight-point sets {p(z) : x <= z <= y} of every interval [x, y]
-    in S_n whose top y is a minimal coset representative, read from the
-    one cover table of S_n's [e, w0].  The bound is small because the
-    parabolic suite visits the subsets J in order."""
-    T = interval(identity(n), longest_element(n))
-    pts = [weight_point(z, J) for z in T.order]
-    tops = {j for j, z in enumerate(T.order) if is_min_rep(z, J)}
-    return frozenset(
-        frozenset(pts[k] for k in T.between(i, j))
-        for i, j in T.pairs()
-        if j in tops
+def _is_interval_set(F, T, pts) -> bool:
+    """Is F the point set {p(z) : x <= z <= y} of some [x, y] inside the
+    interval T with y minimal in its coset, where pts[k] = p(T.order[k])?
+    T.order is lexicographic, which extends Bruhat order, so a point's
+    first index is its coset's minimal representative.  If F = p([x, y]),
+    every minimal representative in F's preimage lies below y, so y can
+    only be the last of them."""
+    pre = [k for k, p in enumerate(pts) if p in F]
+    y = max({pts[k]: k for k in reversed(pre)}.values())
+    return any(
+        {pts[k] for k in T.between(x, y)} == F for x in pre if T.above[x] >> y & 1
     )
 
 
@@ -111,10 +108,12 @@ def parabolic_faces_check(u: Perm, v: Perm, J) -> dict:
     V = parabolic_bip_vertices(u, v, J)
     faces = exactlp.face_lattice(V)
 
-    # the face's defining interval need not sit inside [u, v], so the
-    # candidate point sets range over every [x, y] with y minimal
-    interval_sets = _interval_point_sets(n, J)
-    violations = sorted(sorted(F) for F in faces if F not in interval_sets)
+    # the face's defining interval need not sit inside [u, v], but it sits
+    # in [e, v]: each point of F is p of some z <= v, so its minimal
+    # representative is below v, y among them, and x <= y
+    T = interval(identity(n), v)
+    pts = [weight_point(z, J) for z in T.order]
+    violations = sorted(sorted(F) for F in faces if not _is_interval_set(F, T, pts))
 
     cosets = coset_reps_in_interval(u, v, J)
     vertices = sum(1 for F in faces if len(F) == 1)

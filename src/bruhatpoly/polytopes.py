@@ -330,21 +330,12 @@ def normal_cone(x: Perm, y: Perm, u: Perm, v: Perm):
 # ---------------------------------------------------------------------------
 
 
-def diameter(u: Perm, v: Perm) -> int:
-    """Graph diameter of the 1-skeleton, whose edges are the covers that
-    pass the face criterion: a BFS from every vertex in which the adjacency
-    rows, the frontier and the seen set are bitsets over the indices of the
-    interval's cover table."""
-    I = interval(u, v)
-    order = I.order
-    covers = [(i, j) for i, row in enumerate(I.up) for j, _t in row]
-    adj = [0] * len(order)
-    for i, j, G in face_graphs(I, covers):
-        if _kahn_order(G) is not None:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+def skeleton_diameter(adj):
+    """Diameter of the graph with bitset rows adj (bit j of adj[i] for an
+    edge i - j), by a BFS from every vertex over bitset frontiers; None
+    if the graph is disconnected."""
     best = 0
-    for start in range(len(order)):
+    for start in range(len(adj)):
         seen = frontier = 1 << start
         steps = -1
         while frontier:
@@ -354,10 +345,23 @@ def diameter(u: Perm, v: Perm) -> int:
                 reached |= adj[a]
             frontier = reached & ~seen
             seen |= frontier
-        if seen != (1 << len(order)) - 1:
-            raise AssertionError("1-skeleton is disconnected")
+        if seen != (1 << len(adj)) - 1:
+            return None
         best = max(best, steps)
     return best
+
+
+def diameter(u: Perm, v: Perm):
+    """Diameter of the 1-skeleton, whose edges are the covers that pass
+    the face criterion; None if it is disconnected."""
+    I = interval(u, v)
+    covers = [(i, j) for i, row in enumerate(I.up) for j, _t in row]
+    adj = [0] * len(I.order)
+    for i, j, G in face_graphs(I, covers):
+        if _kahn_order(G) is not None:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return skeleton_diameter(adj)
 
 
 def is_toric(u: Perm, v: Perm) -> bool:

@@ -39,7 +39,6 @@ def test_faces_pair_builds_only_its_own_interval():
 
 def test_parabolic_check_builds_no_subintervals():
     interval.cache_clear()
-    parabolic._interval_point_sets.cache_clear()
     report = parabolic.parabolic_faces_check(identity(4), parse_perm("3412"), (2,))
     assert report["all_faces_are_interval_sets"] and report["faces_found"] > 0
     assert interval.cache_info().currsize <= 2
@@ -54,21 +53,35 @@ def _entries(obj):
     return 0
 
 
+def _container_sizes(module):
+    """The entries of every module-level dict, list and set of module,
+    everything nested in them included."""
+    return {
+        name: _entries(obj)
+        for name, obj in vars(module).items()
+        if not name.startswith("__") and isinstance(obj, (dict, list, set))
+    }
+
+
 def test_polytopes_keeps_no_module_state():
     """The face kernel's partition memos belong to one call: enumerating
     the faces and the diameter of S_5 [e, w0] leaves every module-level
     dict, list and set of polytopes, and everything nested in it, at its
     size."""
 
-    def sizes():
-        return {
-            name: _entries(obj)
-            for name, obj in vars(polytopes).items()
-            if not name.startswith("__") and isinstance(obj, (dict, list, set))
-        }
-
-    before = sizes()
+    before = _container_sizes(polytopes)
     u, v = identity(5), longest_element(5)
     assert len(polytopes.enumerate_faces(u, v)) == 541
     assert polytopes.diameter(u, v) == 10
-    assert sizes() == before
+    assert _container_sizes(polytopes) == before
+
+
+def test_parabolic_keeps_no_module_state():
+    """The faces check reads the point sets of [e, v] for the call: a
+    check of an S_5 instance leaves every module-level container of
+    parabolic at its size."""
+    before = _container_sizes(parabolic)
+    u, v, J = identity(5), parse_perm("35124"), (2, 4)
+    report = parabolic.parabolic_faces_check(u, v, J)
+    assert report["all_faces_are_interval_sets"] and report["faces_found"] > 1
+    assert _container_sizes(parabolic) == before

@@ -34,6 +34,13 @@ def test_parabolic_check_sees_a_face_that_is_no_interval_set(monkeypatch):
     assert not report["edges_are_cover_pairs"]
 
 
+def test_parabolic_check_sees_a_dropped_vertex(monkeypatch):
+    _lattice_with(monkeypatch, lambda L, V: L - {frozenset([V[0]])})
+    report = parabolic.parabolic_faces_check(identity(4), parse_perm("3412"), (2,))
+    assert not report["zero_cells_match_cosets"]
+    assert report["all_faces_are_interval_sets"]
+
+
 def test_dimension_pair_sees_a_broken_basis_exchange(monkeypatch):
     # {12, 34} are the bases of no matroid: 12 - 1 + 3 and 12 - 1 + 4 are not bases
     real = polytopes.interval_matroid
@@ -66,8 +73,7 @@ def test_dimension_pair_sees_a_wrong_inequality(monkeypatch):
 
 def test_faces_pair_sees_a_vertex_without_an_edge(monkeypatch):
     # a self-loop on every cover into v: the coatoms lose their only edge
-    # up and v all its edges (the diameter check, which needs a connected
-    # skeleton, is left out)
+    # up and v all its edges, so the skeleton falls apart
     real = polytopes.face_graphs
 
     def looped(I, pairs):
@@ -79,8 +85,8 @@ def test_faces_pair_sees_a_vertex_without_an_edge(monkeypatch):
             yield i, j, (rep, nodes, pred)
 
     monkeypatch.setattr(polytopes, "face_graphs", looped)
-    monkeypatch.setattr(checks, "diameter_pair", lambda pair: {"failures": []})
     failures = checks.faces_pair((identity(3), longest_element(3)))["failures"]
+    assert "[123,321]: 1-skeleton is disconnected" in failures
     assert [f for f in failures if f.endswith("misses an edge")] == [
         f"[123,321]: vertex {z} misses an edge" for z in ("231", "312", "321")
     ]

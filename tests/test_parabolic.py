@@ -1,9 +1,14 @@
+import random
+from collections import Counter
+from itertools import combinations, permutations
+
 import pytest
 
 from bruhatpoly import exactlp
 from bruhatpoly.errors import DomainError
 from bruhatpoly.intervals import interval
 from bruhatpoly.parabolic import (
+    _is_interval_set,
     check_subset,
     coset_reps_in_interval,
     is_min_rep,
@@ -103,3 +108,56 @@ def test_faces_check_report():
 def test_faces_check_guards_scale():
     with pytest.raises(DomainError):
         parabolic_faces_check(identity(6), identity(6), (1,))
+
+
+def _leq(x, y):
+    """Bruhat order by the tableau criterion: the sorted initial segments
+    of x are entrywise at most those of y."""
+    return all(
+        a <= b for k in range(1, len(x)) for a, b in zip(sorted(x[:k]), sorted(y[:k]))
+    )
+
+
+def _point(z, J):
+    """The weight point: coordinate a counts the j in J with a among
+    z(1..j)."""
+    pos = {a: i + 1 for i, a in enumerate(z)}
+    return tuple(sum(pos[a] <= j for j in J) for a in range(1, len(z) + 1))
+
+
+def _sorted_in_blocks(y, J):
+    cuts = [0, *J, len(y)]
+    return all(list(y[a:b]) == sorted(y[a:b]) for a, b in zip(cuts, cuts[1:]))
+
+
+def test_interval_set_witness_matches_brute_force_on_s4():
+    """The per-face witness against the set of every p([x, y]) with
+    x <= y in S_4 and y sorted within blocks, built here from the
+    definitions.  Candidates: every face of every S_4 instance, seeded
+    random subsets of its points and unions of two of its faces."""
+    S4 = list(permutations(range(1, 5)))
+    rng = random.Random(7)
+    verdicts = Counter()
+    for size in range(1, 4):
+        for J in combinations(range(1, 4), size):
+            tops = [y for y in S4 if _sorted_in_blocks(y, J)]
+            sets = {
+                frozenset(_point(z, J) for z in S4 if _leq(x, z) and _leq(z, y))
+                for y in tops for x in S4 if _leq(x, y)
+            }
+            for v in tops:
+                T = interval(identity(4), v)
+                pts = [weight_point(z, J) for z in T.order]
+                for u in S4:
+                    if not _leq(u, v):
+                        continue
+                    V = parabolic_bip_vertices(u, v, J)
+                    faces = list(exactlp.face_lattice(V))
+                    candidates = faces + [
+                        frozenset(rng.sample(V, rng.randint(1, len(V)))) for _ in range(2)
+                    ] + [rng.choice(faces) | rng.choice(faces) for _ in range(2)]
+                    for F in candidates:
+                        verdict = _is_interval_set(F, T, pts)
+                        assert verdict == (F in sets), (u, v, J, sorted(F))
+                        verdicts[verdict] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0

@@ -10,7 +10,6 @@ reports.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations, islice, permutations
 from math import factorial
 
@@ -270,6 +269,7 @@ def dimension_rank_pair(pair):
 
 def _map(worker, items, jobs):
     if jobs and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # single-job runs never load the pool
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, items, chunksize=8))
     return [worker(item) for item in items]

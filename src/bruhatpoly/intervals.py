@@ -12,7 +12,6 @@ descent of u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, NotComparableError
@@ -36,7 +35,6 @@ def _bits(mask: int):
         mask &= mask - 1
 
 
-@dataclass(frozen=True)
 class BruhatInterval:
     """The closed interval [u, v] as one cover table.
 
@@ -45,16 +43,17 @@ class BruhatInterval:
     cover order[j] = order[i] * t, sorted by j; down[i] holds the labels t
     of the cocovers of order[i].  above[i] is a bitset with bit j set iff
     order[i] <= order[j]: inside an interval, Bruhat order is the
-    transitive closure of the covers.
+    transitive closure of the covers.  The cache shares it: read-only.
     """
 
-    u: Perm
-    v: Perm
-    elements: frozenset
-    order: tuple
-    up: tuple
-    down: tuple
-    above: tuple
+    __slots__ = ("u", "v", "elements", "order", "up", "down", "above")
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BruhatInterval is immutable: cannot set {name!r}")
 
     @property
     def covers(self) -> frozenset:
@@ -220,9 +219,8 @@ def chain_via_coatoms(I: BruhatInterval):
     chain = [I.u]
     x = I.u
     while x != I.v:
-        t, xt, _vt = generalized_lift(x, I.v)
-        # the label t satisfies v > vt >= x >= u, so it is a coatom label
-        x = xt
+        # the lift's label t has v > vt >= x >= u, so it is a coatom label
+        x = generalized_lift(x, I.v)[1]
         chain.append(x)
     return tuple(chain)
 
@@ -233,8 +231,7 @@ def chain_via_atoms(I: BruhatInterval):
     chain = [I.v]
     y = I.v
     while y != I.u:
-        t, _ut, yt = generalized_lift(I.u, y)
-        y = yt
+        y = generalized_lift(I.u, y)[2]
         chain.append(y)
     return tuple(reversed(chain))
 

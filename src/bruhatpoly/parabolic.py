@@ -19,7 +19,7 @@ from collections import Counter
 
 from . import exactlp
 from .errors import DomainError
-from .intervals import interval
+from .intervals import interval, require_leq
 from .perms import Perm, format_perm, identity
 
 
@@ -42,10 +42,7 @@ def position_blocks(n: int, J) -> tuple:
 
 def min_coset_rep(z: Perm, J) -> Perm:
     """The shortest element of z W_J: sort values within each position block."""
-    out = []
-    for block in position_blocks(len(z), J):
-        out.extend(sorted(z[i - 1] for i in block))
-    return tuple(out)
+    return tuple(a for b in position_blocks(len(z), J) for a in sorted(z[b[0] - 1 : b[-1]]))
 
 
 def is_min_rep(z: Perm, J) -> bool:
@@ -54,22 +51,34 @@ def is_min_rep(z: Perm, J) -> bool:
 
 def weight_point(z: Perm, J) -> tuple:
     """p(z): 1 at each value of z(1..j), for each j in J."""
+    return _weight_point(z, check_subset(len(z), J))
+
+
+def _weight_point(z: Perm, J) -> tuple:
+    """weight_point for a J already checked."""
     p = [0] * len(z)
-    for j in check_subset(len(z), J):
+    for j in J:
         for a in z[:j]:
             p[a - 1] += 1
     return tuple(p)
 
 
-def parabolic_bip_vertices(u: Perm, v: Perm, J):
-    """Deduplicated, sorted weight points of the interval [u, v]."""
+def _check_instance(u: Perm, v: Perm, J) -> tuple:
+    """J checked, v minimal in its coset and u <= v, or DomainError."""
     J = check_subset(len(u), J)
     if not is_min_rep(v, J):
         raise DomainError(
             f"{format_perm(v)} is not minimal in its coset for J={list(J)}; "
             f"use min_coset_rep, which gives {format_perm(min_coset_rep(v, J))}"
         )
-    return sorted({weight_point(z, J) for z in interval(u, v).elements})
+    require_leq(u, v)
+    return J
+
+
+def parabolic_bip_vertices(u: Perm, v: Perm, J):
+    """Deduplicated, sorted weight points of the interval [u, v]."""
+    J = _check_instance(u, v, J)
+    return sorted({_weight_point(z, J) for z in interval(u, v).elements})
 
 
 def coset_reps_in_interval(u: Perm, v: Perm, J):
@@ -103,26 +112,21 @@ def parabolic_faces_check(u: Perm, v: Perm, J) -> dict:
     n = len(u)
     if n > 5:
         raise DomainError("parabolic_faces_check is guarded to n <= 5")
-    J = check_subset(n, J)
-    I = interval(u, v)
-    V = parabolic_bip_vertices(u, v, J)
-    faces = exactlp.face_lattice(V)
-
+    J = _check_instance(u, v, J)
     # the face's defining interval need not sit inside [u, v], but it sits
     # in [e, v]: each point of F is p of some z <= v, so its minimal
-    # representative is below v, y among them, and x <= y
+    # representative is below v, y among them, and x <= y; K indexes [u, v]
     T = interval(identity(n), v)
-    pts = [weight_point(z, J) for z in T.order]
+    pts = [_weight_point(z, J) for z in T.order]
+    K = T.between(T.order.index(u), len(T) - 1)
+    V = sorted({pts[k] for k in K})
+    faces = exactlp.face_lattice(V)
     violations = sorted(sorted(F) for F in faces if not _is_interval_set(F, T, pts))
 
-    cosets = coset_reps_in_interval(u, v, J)
-    vertices = sum(1 for F in faces if len(F) == 1)
-    zero_cells_match_cosets = vertices == len(V) == len(cosets)
+    cosets = {min_coset_rep(T.order[k], J) for k in K}
+    zero_cells_match_cosets = sum(len(F) == 1 for F in faces) == len(V) == len(cosets)
 
-    pts = [weight_point(z, J) for z in I.order]
-    cover_sets = {
-        frozenset((pts[i], pts[j])) for i, row in enumerate(I.up) for j, _t in row
-    }
+    cover_sets = {frozenset((pts[i], pts[j])) for i in K for j, _t in T.up[i]}
     edges_ok = all(F in cover_sets for F in faces if len(F) == 2)
 
     # the lattice is graded by dimension: a point has dimension 0, and any

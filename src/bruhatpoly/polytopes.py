@@ -12,7 +12,7 @@ for all of this in the tests and suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations, product
 from operator import mul
@@ -89,12 +89,7 @@ def dimension(u: Perm, v: Perm) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Matroid:
-    n: int
-    k: int
-    bases: frozenset  # frozensets of size k
-
+class Matroid(namedtuple("Matroid", "n k bases")):  # bases: frozensets of size k
     @cached_property
     def _base_masks(self) -> tuple:
         return tuple(sum(1 << i for i in B) for B in self.bases)
@@ -126,11 +121,9 @@ def interval_matroid(u: Perm, v: Perm, k: int, convention: str = "first-values")
     return Matroid(n, k, frozenset(bases))
 
 
-@dataclass(frozen=True)
-class PolytopeDescription:
-    vertices: tuple  # integer vectors
-    equalities: tuple  # (coeff vector, rhs)
-    inequalities: tuple  # (subset A as tuple, rhs) meaning sum_{i in A} x_i <= rhs
+class PolytopeDescription(namedtuple("PolytopeDescription", "vertices equalities inequalities")):
+    # vertices: integer vectors; equalities: (coeff vector, rhs); inequalities:
+    # (subset A as tuple, rhs) meaning sum_{i in A} x_i <= rhs
 
     def satisfied_by(self, w: Perm) -> bool:
         """Membership test for a permutation w.

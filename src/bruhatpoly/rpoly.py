@@ -11,7 +11,7 @@ checks (recurrence_counterexample_check, extend_to_special_matching).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 from .intervals import (
@@ -341,13 +341,10 @@ def _special_matchings(I: BruhatInterval, seeds: dict, adj: dict):
         yield from search()
 
 
-@dataclass(frozen=True)
-class MatchingObstruction:
+class MatchingObstruction(namedtuple("MatchingObstruction", "steps conflict")):
     """Witness that no special matching with the requested seeds exists:
-    the chain of forced assignments and the conflict it runs into."""
-
-    steps: tuple  # (x, M(x)) in the order they were forced (seeds first)
-    conflict: dict  # {"kind": ..., plus the offending elements}
+    steps, the (x, M(x)) in the order they were forced (seeds first), and
+    conflict, {"kind": ..., plus the offending elements}, that they run into."""
 
     def __str__(self):
         chain = ", ".join(

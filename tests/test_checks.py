@@ -2,8 +2,6 @@
 Bruhat side, or matroid bases that break the exchange axiom, make them
 fail."""
 
-from dataclasses import replace
-
 from bruhatpoly import checks, exactlp, parabolic, polytopes
 from bruhatpoly.perms import all_perms, identity, longest_element, parse_perm
 
@@ -64,7 +62,7 @@ def test_dimension_pair_sees_a_wrong_inequality(monkeypatch):
     def lowered(u, v):
         desc = real(u, v)
         (A, rhs), *rest = desc.inequalities
-        return replace(desc, inequalities=((A, rhs - 1), *rest))
+        return desc._replace(inequalities=((A, rhs - 1), *rest))
 
     monkeypatch.setattr(polytopes, "bip_inequalities", lowered)
     failures = checks.dimension_pair((identity(4), longest_element(4)))["failures"]

@@ -1,12 +1,16 @@
 """Every module of the package reads each name it imports, in the scope
-the import binds it in.
+the import binds it in, and importing the package and its CLI loads no
+module that only a process pool or a dataclass needs.
 
 A stdlib stand-in for a linter's unused-import rule.  __init__.py is left
 out: its imports are the package's public names.
 """
 
 import ast
+import os
+import subprocess
 import symtable
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +100,22 @@ def test_unused_import_is_caught():
         "    return g\n"
     )
     assert unused_imports(read) == []
+
+
+def test_import_loads_no_pool_or_dataclasses():
+    # the modules the import adds, so that whatever the interpreter's site
+    # hooks load beforehand does not count
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bruhatpoly, bruhatpoly.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    added = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout.split()
+    assert "bruhatpoly.cli" in added
+    assert not {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"} & set(added)

@@ -24,6 +24,8 @@ from bruhatpoly.perms import (
     length,
     longest_element,
 )
+from bruhatpoly.polytopes import bip_inequalities, interval_matroid
+from bruhatpoly.rpoly import MatchingObstruction, extend_to_special_matching
 
 
 def test_interval_elements_are_exactly_the_sandwich():
@@ -165,3 +167,19 @@ def test_table_covers_are_the_cover_pairs_on_s4():
             assert sorted((j, t) for j, row in enumerate(I.down) for t in row) == sorted(
                 (j, t) for row in I.up for j, t in row
             )
+
+
+def test_shared_results_refuse_assignment():
+    """The interval cache hands one table to every caller, and the value
+    objects built from an interval compare by value: none can be changed."""
+    u, v = (1, 3, 2, 4), (4, 3, 1, 2)
+    I = interval(u, v)
+    obs = extend_to_special_matching(u, v, (2, 4))
+    assert isinstance(obs, MatchingObstruction)
+    values = [interval_matroid(u, v, 2), bip_inequalities(u, v), obs]
+    for obj, fields in [(I, I.__slots__), *((x, x._fields) for x in values)]:
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+    assert len(I) == len(I.order) == 14
+    assert interval(u, v) is I and I.v == v

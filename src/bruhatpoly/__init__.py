@@ -55,8 +55,10 @@ from .polytopes import (
 from .rpoly import (
     IntPolynomial,
     extend_to_special_matching,
+    find_special_matchings,
     generalized_r_identity,
     is_special_matching,
+    multiplication_matching,
     r_polynomial,
     r_tilde,
     recurrence_counterexample_check,

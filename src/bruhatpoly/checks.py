@@ -16,9 +16,7 @@ from math import factorial
 from . import exactlp, parabolic, polytopes, rpoly
 from .errors import DomainError
 from .intervals import (
-    all_maximal_chains,
     atom_transpositions,
-    chain_transpositions,
     coatom_transpositions,
     interval,
     inversion_minimal_transpositions,
@@ -104,7 +102,9 @@ def dimension_pair(pair):
     coatoms (so is_toric's block count is the chain-forest test, as
     tests/test_polytopes.py checks on sampled pairs); no increasing cycle
     in the atom or coatom labels; dimension = affine rank; and
-    bip_inequalities cutting out exactly the interval from S_n."""
+    bip_inequalities cutting out exactly the interval from S_n.  One pass
+    up the cover table gives each element the label partitions (as
+    _block_reps tuples) of the chains from u to it, with their counts."""
     u, v = pair
     n = len(u)
     failures = []
@@ -119,12 +119,20 @@ def dimension_pair(pair):
             ):
                 failures.append(f"{_pair_name(u, v)}: basis exchange fails for k={k}, {conv}")
     blocks = polytopes.block_partition(u, v)
+    atoms = atom_transpositions(u, v)
 
-    chains = all_maximal_chains(I)
-    if any(polytopes.label_partition(n, chain_transpositions(c)) != blocks for c in chains):
+    # I.order extends Bruhat order: the chains into order[i] are all in reps[i] before row i is read
+    reps = [{} for _ in I.order]
+    reps[0][tuple(range(1, n + 1))] = 1
+    for i, row in enumerate(I.up):
+        for rep, count in reps[i].items():
+            for j, (a, b) in row:
+                lo, hi = sorted((rep[a - 1], rep[b - 1]))
+                merged = tuple(lo if r == hi else r for r in rep)
+                reps[j][merged] = reps[j].get(merged, 0) + count
+    if reps[-1].keys() != {polytopes._block_reps(n, atoms)}:
         failures.append(f"{_pair_name(u, v)}: chain partition is chain-dependent")
 
-    atoms = atom_transpositions(u, v)
     coatoms = coatom_transpositions(u, v)
     if not (polytopes.label_partition(n, atoms) == polytopes.label_partition(n, coatoms) == blocks):
         failures.append(f"{_pair_name(u, v)}: atom/coatom partitions differ")
@@ -142,7 +150,7 @@ def dimension_pair(pair):
         failures.append(
             f"{_pair_name(u, v)}: inequality description wrong on {wrong} points"
         )
-    return {"chains": len(chains), "failures": failures}
+    return {"chains": sum(reps[-1].values()), "failures": failures}
 
 
 def faces_pair(pair):

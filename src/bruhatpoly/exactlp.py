@@ -169,8 +169,9 @@ def is_face(S, V) -> bool:
 
 def face_vertices(w, V):
     """The argmax subset of V under the functional w (the face it exposes)."""
-    best = max(sum(wi * pi for wi, pi in zip(w, p)) for p in V)
-    return [p for p in V if sum(wi * pi for wi, pi in zip(w, p)) == best]
+    vals = [sum(map(mul, w, p)) for p in V]
+    best = max(vals)
+    return [p for p, x in zip(V, vals) if x == best]
 
 
 def extreme_points(points):

@@ -20,7 +20,6 @@ from .perms import (
     Transposition,
     apply_transposition,
     bruhat_leq,
-    cover_transposition,
     covers_down,
     covers_up,
     format_perm,
@@ -235,26 +234,3 @@ def chain_via_atoms(I: BruhatInterval):
         chain.append(y)
     return tuple(reversed(chain))
 
-
-def chain_transpositions(chain):
-    """The transposition labels along a maximal chain."""
-    return [cover_transposition(x, y) for x, y in zip(chain, chain[1:])]
-
-
-def all_maximal_chains(I: BruhatInterval):
-    """Every maximal chain of the interval (exponential; desk scale only)."""
-    chains = []
-    top = len(I.order) - 1
-
-    def extend(partial):
-        i = partial[-1]
-        if i == top:
-            chains.append(tuple(I.order[k] for k in partial))
-            return
-        for j, _t in I.up[i]:
-            partial.append(j)
-            extend(partial)
-            partial.pop()
-
-    extend([0])
-    return chains

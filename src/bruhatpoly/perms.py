@@ -115,14 +115,6 @@ def is_cover(u: Perm, v: Perm) -> bool:
     return length(v) == length(u) + 1
 
 
-def cover_transposition(u: Perm, v: Perm) -> Transposition:
-    """The (i, k) with v = u * (i k), assuming u, v differ in two positions."""
-    diff = [i + 1 for i in range(len(u)) if u[i] != v[i]]
-    if len(diff) != 2:
-        raise DomainError(f"{format_perm(u)} and {format_perm(v)} do not differ by a transposition")
-    return (diff[0], diff[1])
-
-
 def _cover_scan(w: Perm, up: bool):
     """The covers of w in one direction, in (i, k) order.  For each i, walk
     k upward keeping the cap, the nearest value to w_i seen so far on the

@@ -105,7 +105,8 @@ def _least_right_descent(v: Perm) -> int:
 
 
 # Memo of the least-right-descent recursion, keyed by (tilde, u, v); cleared
-# when a call starts with more than MEMO_LIMIT entries.
+# when a call ends with more than MEMO_LIMIT entries, so that it never holds
+# more between calls.
 MEMO_LIMIT = 20_000
 _MEMO: dict = {}
 
@@ -138,8 +139,6 @@ def _recurrence(u, v, tilde, chooser):
     if len(u) != len(v):
         raise DomainError(f"size mismatch: {len(u)} vs {len(v)}")
     if chooser is None:
-        if len(_MEMO) > MEMO_LIMIT:
-            _MEMO.clear()
         memo, chooser = _MEMO, _least_right_descent
     else:
         memo = {}
@@ -161,7 +160,11 @@ def _recurrence(u, v, tilde, chooser):
         memo[key] = result
         return result
 
-    return rec(u, v)
+    try:
+        return rec(u, v)
+    finally:
+        if len(_MEMO) > MEMO_LIMIT:
+            _MEMO.clear()
 
 
 def r_from_tilde(u: Perm, v: Perm) -> IntPolynomial:

@@ -1,12 +1,13 @@
 """Caches belong to a call, or have a bound: every lru_cache in bruhatpoly
-has a finite maxsize, and the suites' workers build the intervals they are
-asked about, not their subintervals."""
+has a finite maxsize, the R-polynomial memo holds at most MEMO_LIMIT
+entries between calls, and the suites' workers build the intervals they
+are asked about, not their subintervals."""
 
 import importlib
 import pkgutil
 
 import bruhatpoly
-from bruhatpoly import checks, parabolic, polytopes
+from bruhatpoly import checks, parabolic, polytopes, rpoly
 from bruhatpoly.intervals import interval
 from bruhatpoly.perms import identity, longest_element, parse_perm
 
@@ -28,6 +29,16 @@ def test_every_module_cache_is_bounded():
         name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None
     ]
     assert unbounded == []
+
+
+def test_r_memo_keeps_its_limit_between_calls(monkeypatch):
+    # [e, w0] of S_6 fills the memo with 199 entries
+    monkeypatch.setattr(rpoly, "MEMO_LIMIT", 50)
+    rpoly._MEMO.clear()
+    e, w0 = identity(6), longest_element(6)
+    for recurrence in (rpoly.r_polynomial, rpoly.r_tilde):
+        assert recurrence(e, w0).degree == 15
+        assert len(rpoly._MEMO) <= rpoly.MEMO_LIMIT
 
 
 def test_faces_pair_builds_only_its_own_interval():

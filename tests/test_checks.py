@@ -1,8 +1,11 @@
 """The suites' checks are live: a face lattice that disagrees with the
-Bruhat side, or matroid bases that break the exchange axiom, make them
-fail."""
+Bruhat side, matroid bases that break the exchange axiom, or a cover table
+with a wrong label make them fail."""
+
+import pytest
 
 from bruhatpoly import checks, exactlp, parabolic, polytopes
+from bruhatpoly.intervals import BruhatInterval, interval
 from bruhatpoly.perms import all_perms, identity, longest_element, parse_perm
 
 
@@ -67,6 +70,29 @@ def test_dimension_pair_sees_a_wrong_inequality(monkeypatch):
     monkeypatch.setattr(polytopes, "bip_inequalities", lowered)
     failures = checks.dimension_pair((identity(4), longest_element(4)))["failures"]
     assert failures == ["[1234,4321]: inequality description wrong on 6 points"]
+
+
+def test_dimension_pair_sees_a_relabelled_cover(monkeypatch):
+    # (1 2) on 1234 -> 2134 read as (2 3): that chain joins {2, 3, 4}, the other {1, 2}, {3, 4}
+    u, v = parse_perm("1234"), parse_perm("2143")
+    real = interval(u, v)
+    j = real.order.index(parse_perm("2134"))
+    fields = {name: getattr(real, name) for name in BruhatInterval.__slots__}
+    fields["up"] = (tuple((k, (2, 3) if k == j else t) for k, t in real.up[0]), *real.up[1:])
+    monkeypatch.setattr(checks, "interval", lambda u, v: BruhatInterval(*fields.values()))
+    report = checks.dimension_pair((u, v))
+    assert report == {"chains": 2, "failures": ["[1234,2143]: chain partition is chain-dependent"]}
+
+
+@pytest.mark.parametrize("n, step", [(4, 1), (5, 25)])
+def test_dimension_pair_counts_every_maximal_chain(n, step, maximal_chains):
+    """The pass over the cover table counts the chains found by walking
+    every maximal chain, and passes where they share one label partition:
+    all of S_4 and every 25th pair of S_5."""
+    for pair in checks.comparable_pairs(n)[::step]:
+        chains = maximal_chains(*pair)
+        assert len({polytopes.label_partition(n, labels) for _c, labels in chains}) == 1
+        assert checks.dimension_pair(pair) == {"chains": len(chains), "failures": []}, pair
 
 
 def test_faces_pair_sees_a_vertex_without_an_edge(monkeypatch):

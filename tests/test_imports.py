@@ -1,13 +1,16 @@
 """Every module of the package reads each name it imports, in the scope
-the import binds it in, and importing the package and its CLI loads no
-module that only a process pool or a dataclass needs.
+the import binds it in; every public top-level function and class is read
+somewhere beyond its own definition; and importing the package and its CLI
+loads no module that only a process pool or a dataclass needs.
 
-A stdlib stand-in for a linter's unused-import rule.  __init__.py is left
-out: its imports are the package's public names.
+Stdlib stand-ins for a linter's unused-import and dead-code rules.
+__init__.py is left out of the first: its imports are the package's public
+names.
 """
 
 import ast
 import os
+import re
 import subprocess
 import symtable
 import sys
@@ -15,8 +18,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bruhatpoly"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bruhatpoly"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# where a public name of the package may be read: the package itself, the
+# demos, and the benchmark, which calls workers by their names in strings
+READERS = sorted([*SRC.glob("*.py"), *ROOT.glob("demos/*.py"), *ROOT.glob("bench/*.py")])
 
 
 def _annotation_names(tree):
@@ -100,6 +107,57 @@ def test_unused_import_is_caught():
         "    return g\n"
     )
     assert unused_imports(read) == []
+
+
+def _reads(node):
+    """The identifiers read under node: names, attributes, imported names,
+    and the words of string constants other than docstrings."""
+    docs = {
+        id(n.value) for n in ast.walk(node)
+        if isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant)
+    }
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in docs:
+            yield from re.findall(r"\w+", n.value)
+
+
+def orphans(sources):
+    """The public top-level functions and classes of sources, a dict from
+    module name to source text, that no source reads outside their own
+    definition, as module.name.  Reads are matched by name alone."""
+    readers = {}  # name -> the (module, top-level definition or None) reading it
+    defined = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            if owner and not owner.startswith("_"):
+                defined.append((module, owner))
+            for name in _reads(node):
+                readers.setdefault(name, set()).add((module, owner))
+    return [
+        f"{module}.{name}" for module, name in defined
+        if not readers.get(name, set()) - {(module, name)}
+    ]
+
+
+def test_no_orphan_names():
+    sources = {f"{p.parent.name}.{p.stem}": p.read_text() for p in READERS}
+    assert orphans(sources) == []
+
+
+def test_orphan_name_is_caught():
+    sources = {
+        "a": "def used():\n    pass\ndef orphan():\n    return orphan()\ndef _private():\n    pass\n",
+        # a docstring is no read; a name in a string is, as the benchmark calls workers
+        "b": "'''Not orphan.'''\nimport a\nCALLS = ['a.used']\n",
+    }
+    assert orphans(sources) == ["a.orphan"]
 
 
 def test_import_loads_no_pool_or_dataclasses():

@@ -1,12 +1,13 @@
 import pytest
 
+from bruhatpoly import checks
 from bruhatpoly.errors import DomainError, NotComparableError
 from bruhatpoly.intervals import (
-    all_maximal_chains,
+    atom_transpositions,
     atoms,
-    chain_transpositions,
     chain_via_atoms,
     chain_via_coatoms,
+    coatom_transpositions,
     coatoms,
     generalized_lift,
     interval,
@@ -18,7 +19,6 @@ from bruhatpoly.perms import (
     all_perms,
     apply_transposition,
     bruhat_leq,
-    cover_transposition,
     identity,
     is_cover,
     length,
@@ -102,26 +102,25 @@ def test_minimality_rejects_bad_input(u, v, t):
             check(u, v, t)
 
 
-def test_chains_are_saturated():
+def test_chains_are_saturated(maximal_chains):
+    """The lifted chains are maximal chains of [u, v], labelled by atoms
+    and by coatoms as their docstrings state."""
     u, v = (1, 2, 3, 4), (3, 4, 1, 2)
     I = interval(u, v)
-    for chain in (chain_via_atoms(I), chain_via_coatoms(I)):
-        assert chain[0] == u and chain[-1] == v
-        assert all(is_cover(a, b) for a, b in zip(chain, chain[1:]))
-        assert len(chain) == length(v) - length(u) + 1
-    ts = chain_transpositions(chain_via_atoms(I))
-    assert len(ts) == length(v) - length(u)
-
-
-def test_all_maximal_chains_count():
-    u, v = (1, 2, 3, 4), (1, 3, 4, 2)
-    chains = all_maximal_chains(interval(u, v))
-    assert all(c[0] == u and c[-1] == v for c in chains)
+    labels = dict(maximal_chains(u, v))
+    assert set(labels[chain_via_atoms(I)]) <= set(atom_transpositions(u, v))
+    assert set(labels[chain_via_coatoms(I)]) <= set(coatom_transpositions(u, v))
     assert all(
-        is_cover(a, b) for c in chains for a, b in zip(c, c[1:])
+        len(chain) == length(v) - length(u) + 1 and all(map(is_cover, chain, chain[1:]))
+        for chain in labels
     )
+
+
+def test_all_maximal_chains_count(maximal_chains):
     # rank-2 intervals in Bruhat order are diamonds: exactly two chains
-    assert len(chains) == 2
+    u, v = (1, 2, 3, 4), (1, 3, 4, 2)
+    assert len(maximal_chains(u, v)) == 2
+    assert checks.dimension_pair((u, v))["chains"] == 2
 
 
 def test_table_above_bits_are_bruhat_order_on_s5():
@@ -163,7 +162,10 @@ def test_table_covers_are_the_cover_pairs_on_s4():
                 for i, row in enumerate(I.up)
                 for j, t in row
             }
-            assert labelled == {(x, y, cover_transposition(x, y)) for x, y in expected}
+            # the label of a cover is the two positions where its ends differ
+            assert labelled == {
+                (x, y, tuple(k + 1 for k in range(4) if x[k] != y[k])) for x, y in expected
+            }
             assert sorted((j, t) for j, row in enumerate(I.down) for t in row) == sorted(
                 (j, t) for row in I.up for j, t in row
             )

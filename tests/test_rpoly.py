@@ -185,9 +185,8 @@ def test_r_memo_is_bounded(monkeypatch):
         r_polynomial(identity(4), v)
         r_tilde(identity(4), v)
         sizes.append(len(rpoly._MEMO))
-    # a call that finds more than MEMO_LIMIT entries starts from an empty memo
-    assert max(sizes) > 10
-    assert max(sizes) <= 10 + max(
-        len(interval(identity(4), v)) ** 2 for v in all_perms(4)
-    )
+    # a call that leaves more than MEMO_LIMIT entries leaves an empty memo;
+    # one that leaves fewer keeps them for the next call
+    assert max(sizes) <= 10
+    assert any(a < b for a, b in zip(sizes, sizes[1:]))
     assert any(b < a for a, b in zip(sizes, sizes[1:]))

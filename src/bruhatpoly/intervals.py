@@ -91,19 +91,20 @@ def require_leq(u: Perm, v: Perm) -> None:
 def interval(u: Perm, v: Perm) -> BruhatInterval:
     """The cover table of [u, v], from one BFS upward from u pruned by
     comparison with v.  Every cover inside the interval joins two
-    consecutive BFS layers, so each element's covers are computed once."""
+    consecutive BFS layers, so each element's covers are computed once.
+    Elements precede their upper covers in order, so above fills backwards."""
     require_leq(u, v)
     ups = {}
-    layers = [[u]]
-    while layers[-1]:
+    frontier = [u]
+    while frontier:
         found = {}  # the next layer, in the order the BFS finds it
-        for x in layers[-1]:
+        for x in frontier:
             row = ups[x] = []
             for y, t in covers_up(x):
                 if y in found or bruhat_leq(y, v):
                     found[y] = None
                     row.append((y, t))
-        layers.append(list(found))
+        frontier = found
     order = sorted(ups)
     index = {z: i for i, z in enumerate(order)}
     up = [sorted((index[y], t) for y, t in ups[z]) for z in order]
@@ -112,13 +113,11 @@ def interval(u: Perm, v: Perm) -> BruhatInterval:
         for j, t in row:
             down[j].append(t)
     above = [0] * len(order)
-    for layer in reversed(layers):
-        for z in layer:
-            i = index[z]
-            bits = 1 << i
-            for j, _t in up[i]:
-                bits |= above[j]
-            above[i] = bits
+    for i in range(len(order) - 1, -1, -1):
+        bits = 1 << i
+        for j, _t in up[i]:
+            bits |= above[j]
+        above[i] = bits
     return BruhatInterval(
         u, v, frozenset(order), tuple(order),
         tuple(map(tuple, up)), tuple(map(tuple, down)), tuple(above),

@@ -1,17 +1,20 @@
 """R-polynomials and special matchings.
 
-R-polynomials are computed by the classical right-descent recurrence.  The
-same recurrence shape holds with a transposition t in place of the simple
-reflection whenever t is inversion-minimal -- but not for an arbitrary t
-satisfying the four lifting relations, and inversion-minimality also does
-not guarantee that t extends to a special matching of the interval.  Both
-counterexamples from the literature are reproduced here as executable
-checks (recurrence_counterexample_check, extend_to_special_matching).
+R-polynomials are computed by the classical right-descent recurrence.  One
+linear step, _step, drives it, the recurrence of R~, the generalized
+recurrence at an inversion-minimal transposition t and the special-matching
+identity; IntPolynomial is a record of coefficients with no arithmetic.
+The generalized recurrence fails for an arbitrary t satisfying the four
+lifting relations, and inversion-minimality does not guarantee that t
+extends to a special matching of the interval.  Both counterexamples from
+the literature are reproduced here as executable checks
+(recurrence_counterexample_check, extend_to_special_matching).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from math import comb
 
 from .errors import DomainError
 from .intervals import (
@@ -32,47 +35,23 @@ from .perms import (
 )
 
 
-class IntPolynomial:
-    """Dense integer polynomial in q; coefficient index = degree."""
+class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
+    """Dense integer polynomial in q as a record of its coefficients, index =
+    degree, trailing zeros trimmed.  It carries no arithmetic: like any
+    tuple, + concatenates; the recurrences combine polynomials with _step."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=()):
+    def __new__(cls, coeffs=()):
         c = list(coeffs)
         while c and c[-1] == 0:
             c.pop()
-        self.coeffs = tuple(c)
+        return super().__new__(cls, tuple(c))
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(
-            tuple(x + y for x, y in zip(a, b)) + a[len(b):]
-        )
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
-
-    def __repr__(self):
-        return f"IntPolynomial({self.coeffs!r})"
 
     def __str__(self):
         if not self.coeffs:
@@ -96,8 +75,19 @@ class IntPolynomial:
 
 ZERO = IntPolynomial()
 ONE = IntPolynomial((1,))
-Q = IntPolynomial((0, 1))
-Q_MINUS_1 = IntPolynomial((-1, 1))
+
+
+def _step(f, g, tilde=False):
+    """q f + (q - 1) g, or f + q g for R~: the step of every recurrence."""
+    f, g = f.coeffs, g.coeffs
+    out = [0] * (max(len(f), len(g)) + 1)
+    for i, c in enumerate(f):
+        out[i if tilde else i + 1] += c
+    for i, c in enumerate(g):
+        out[i + 1] += c
+        if not tilde:
+            out[i] -= c
+    return IntPolynomial(out)
 
 
 def _least_right_descent(v: Perm) -> int:
@@ -131,10 +121,10 @@ def _recurrence(u, v, tilde, chooser):
     """F_{u,v} for F = R (tilde False) or R~ (tilde True), with s = s_i and
     i = chooser(v) a right descent of v:
 
-        F_{u,v} = F_{us,vs}                   if i is a descent of u,
-        F_{u,v} = a F_{us,vs} + b F_{u,vs}    otherwise,
+        F_{u,v} = F_{us,vs}                          if i is a descent of u,
+        F_{u,v} = _step(F_{us,vs}, F_{u,vs}, tilde)  otherwise,
 
-    where (a, b) = (q, q - 1) for R and (1, q) for R~.
+    that is q R_{us,vs} + (q - 1) R_{u,vs}, or R~_{us,vs} + q R~_{u,vs}.
     """
     if len(u) != len(v):
         raise DomainError(f"size mismatch: {len(u)} vs {len(v)}")
@@ -142,7 +132,6 @@ def _recurrence(u, v, tilde, chooser):
         memo, chooser = _MEMO, _least_right_descent
     else:
         memo = {}
-    a, b = (ONE, Q) if tilde else (Q, Q_MINUS_1)
 
     def rec(u, v):
         if u == v:
@@ -156,7 +145,7 @@ def _recurrence(u, v, tilde, chooser):
         vs = apply_transposition(v, (i, i + 1))
         result = rec(apply_transposition(u, (i, i + 1)), vs)
         if u[i - 1] < u[i]:
-            result = a * result + b * rec(u, vs)
+            result = _step(result, rec(u, vs), tilde)
         memo[key] = result
         return result
 
@@ -171,13 +160,13 @@ def r_from_tilde(u: Perm, v: Perm) -> IntPolynomial:
     """Recover R from R~ by the substitution q^(d/2) R~(q^(1/2) - q^(-1/2)),
     i.e. sum_j c_j q^((d-j)/2) (q-1)^j with d the length difference."""
     d = length(v) - length(u)
-    out, power = ZERO, ONE  # power = (q-1)^j
+    out = [0] * (d + 1)
     for j, c in enumerate(r_tilde(u, v).coeffs):
         if c:
             assert (d - j) % 2 == 0, "tilde coefficients live in one parity class"
-            out = out + power * IntPolynomial((0,) * ((d - j) // 2) + (c,))
-        power = power * Q_MINUS_1
-    return out
+            for i in range(j + 1):
+                out[(d - j) // 2 + i] += c * comb(j, i) * (-1) ** (j - i)
+    return IntPolynomial(out)
 
 
 def recurrence_terms(u: Perm, v: Perm, t: Transposition):
@@ -187,7 +176,7 @@ def recurrence_terms(u: Perm, v: Perm, t: Transposition):
     vt = apply_transposition(v, t)
     r_ut_vt = r_polynomial(apply_transposition(u, t), vt)
     r_u_vt = r_polynomial(u, vt)
-    return r_ut_vt, r_u_vt, Q * r_ut_vt + Q_MINUS_1 * r_u_vt
+    return r_ut_vt, r_u_vt, _step(r_ut_vt, r_u_vt)
 
 
 def generalized_r_identity(u: Perm, v: Perm, t: Transposition) -> bool:
@@ -289,8 +278,9 @@ def special_matching_r_identity(I: BruhatInterval, M: dict, u: Perm) -> bool:
     if u not in I.elements:
         raise DomainError(f"{format_perm(u)} is not below {format_perm(I.v)}")
     w = I.v
-    qc, qc_minus_1 = (Q, Q_MINUS_1) if length(M[u]) == length(u) + 1 else (ONE, ZERO)
-    rhs = qc * r_polynomial(M[u], M[w]) + qc_minus_1 * r_polynomial(u, M[w])
+    rhs = r_polynomial(M[u], M[w])
+    if length(M[u]) == length(u) + 1:
+        rhs = _step(rhs, r_polynomial(u, M[w]))
     return r_polynomial(u, w) == rhs
 
 

@@ -25,7 +25,11 @@ from bruhatpoly.perms import (
     longest_element,
 )
 from bruhatpoly.polytopes import bip_inequalities, interval_matroid
-from bruhatpoly.rpoly import MatchingObstruction, extend_to_special_matching
+from bruhatpoly.rpoly import (
+    MatchingObstruction,
+    extend_to_special_matching,
+    r_polynomial,
+)
 
 
 def test_interval_elements_are_exactly_the_sandwich():
@@ -178,7 +182,7 @@ def test_shared_results_refuse_assignment():
     I = interval(u, v)
     obs = extend_to_special_matching(u, v, (2, 4))
     assert isinstance(obs, MatchingObstruction)
-    values = [interval_matroid(u, v, 2), bip_inequalities(u, v), obs]
+    values = [interval_matroid(u, v, 2), bip_inequalities(u, v), obs, r_polynomial(u, v)]
     for obj, fields in [(I, I.__slots__), *((x, x._fields) for x in values)]:
         for field in fields:
             with pytest.raises(AttributeError):

@@ -1,21 +1,26 @@
 """Identities from the literature, checked on every pair x <= y of S_4,
-and Bruhat order as the closure of its covers on all of S_5.
+Dyer's path formula for R and R~ on S_4 and samples of S_5 and S_6, and
+Bruhat order as the closure of its covers on all of S_5.
 
 The checks share no code with the implementation: Bruhat order is the
 tableau criterion, lengths count inversions, polynomials are coefficient
 lists and inversion-minimal transpositions are found from the definition.
-References: Kazhdan-Lusztig 1979; Bjorner-Brenti, Combinatorics of Coxeter
-Groups, ch. 5.
+References: Kazhdan-Lusztig 1979; Dyer, Hecke algebras and shellings of
+Bruhat intervals, 1993; Bjorner-Brenti, Combinatorics of Coxeter Groups,
+ch. 5.
 """
 
+from functools import cache
 from itertools import permutations
 
+from bruhatpoly.checks import comparable_pairs, sampled_pairs
 from bruhatpoly.intervals import interval
 from bruhatpoly.perms import bruhat_leq, covers_up
 from bruhatpoly.rpoly import (
     extend_to_special_matching,
     find_special_matchings,
     r_polynomial,
+    r_tilde,
 )
 
 S4 = sorted(permutations(range(1, 5)))
@@ -79,6 +84,56 @@ def test_r_palindromy():
         c = coeffs(u, v)
         assert len(c) == d + 1, (u, v)
         assert all(c[d - j] == (-1) ** d * c[j] for j in range(d + 1)), (u, v)
+
+
+def increasing_paths(u, v):
+    """Counts by length of the paths u = x_0 -> ... -> x_k = v in which each
+    step swaps positions i < j with x[i] < x[j] and stays <= v, and the
+    labels (i, j) strictly increase in lexicographic order."""
+    n = len(u)
+    labels = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    @cache
+    def count(x, start):
+        out = [1] if x == v else []
+        for k in range(start, len(labels)):
+            i, j = labels[k]
+            if x[i] < x[j]:
+                y = list(x)
+                y[i], y[j] = y[j], y[i]
+                y = tuple(y)
+                if leq(y, v):
+                    tail = count(y, k + 1)
+                    out += [0] * (len(tail) + 1 - len(out))
+                    for steps, c in enumerate(tail):
+                        out[steps + 1] += c
+        return out
+
+    return count(u, 0)
+
+
+def test_dyer_path_formula():
+    # the increasing paths counted by length are the coefficients c_j of
+    # R~_{u,v}, and R_{u,v} = sum_j c_j q^((d-j)/2) (q-1)^j, d = l(v) - l(u)
+    pairs = (
+        [(x, y) for x, y in PAIRS if x != y]
+        + list(comparable_pairs(5)[::25])
+        + list(sampled_pairs(6, 20, seed=7))
+    )
+    assert len(pairs) == 189 + 147 + 20
+    for u, v in pairs:
+        c = increasing_paths(u, v)
+        d = ell(v) - ell(u)
+        r = []
+        for j, cj in enumerate(c):
+            term = [0] * ((d - j) // 2) + [cj]
+            for _ in range(j):
+                term = times(term, [-1, 1])
+            r += [0] * (len(term) - len(r))
+            for i, a in enumerate(term):
+                r[i] += a
+        assert c == list(r_tilde(u, v).coeffs), (u, v)
+        assert trimmed(r) == coeffs(u, v), (u, v)
 
 
 def inversion_minimal(u, v):

@@ -12,8 +12,6 @@ from bruhatpoly.perms import (
 )
 from bruhatpoly.rpoly import (
     ONE,
-    Q,
-    Q_MINUS_1,
     ZERO,
     IntPolynomial,
     MatchingObstruction,
@@ -33,18 +31,19 @@ from bruhatpoly.rpoly import (
 P = parse_perm
 
 
-def test_polynomial_arithmetic():
-    assert Q * Q == IntPolynomial((0, 0, 1))
-    assert (Q_MINUS_1 + ONE) == Q
-    assert Q_MINUS_1 * Q_MINUS_1 == IntPolynomial((1, -2, 1))
-    assert str(Q_MINUS_1 * Q_MINUS_1) == "q^2 - 2q + 1"
-    assert ZERO + ONE == ONE
+def test_polynomial_record():
+    p = IntPolynomial((1, -2, 1, 0))
+    assert p.coeffs == (1, -2, 1) and p.degree == 2
+    assert str(p) == "q^2 - 2q + 1"
+    assert str(IntPolynomial(())) == "0" and ZERO.degree == -1
+    assert p == IntPolynomial([1, -2, 1]) and hash(p) == hash(IntPolynomial((1, -2, 1)))
+    assert p != ONE and not hasattr(p, "__dict__")
 
 
 def test_r_polynomial_base_cases():
     e = identity(4)
     assert r_polynomial(e, e) == ONE
-    assert r_polynomial(e, P("2134")) == Q_MINUS_1
+    assert r_polynomial(e, P("2134")) == IntPolynomial((-1, 1))
     assert r_polynomial(P("2134"), e) == ZERO
     assert r_polynomial(P("2134"), P("1342")) == ZERO
 
@@ -130,12 +129,19 @@ def test_multiplication_matching_is_special_on_lower_interval():
 
 
 def test_special_matching_r_identity_lower_interval():
-    for w in (P("4231"), P("3412")):
-        I = interval(identity(4), w)
+    # every lower interval of S_4, so that both cases, M(u) > u and
+    # M(u) < u, run under every special matching
+    e = identity(4)
+    moves = {True: 0, False: 0}
+    for w in all_perms(4):
+        if w == e:
+            continue
+        I = interval(e, w)
         for M in find_special_matchings(I):
-            assert all(
-                special_matching_r_identity(I, M, u) for u in I.elements
-            )
+            for u in I.elements:
+                assert special_matching_r_identity(I, M, u), (w, u)
+                moves[length(M[u]) > length(u)] += 1
+    assert moves[True] == moves[False] > 0
 
 
 def test_find_special_matchings_returns_involutions():

@@ -118,7 +118,6 @@ def dimension_pair(pair):
                 for A in bases for B in bases for a in A - B
             ):
                 failures.append(f"{_pair_name(u, v)}: basis exchange fails for k={k}, {conv}")
-    blocks = polytopes.block_partition(u, v)
     atoms = atom_transpositions(u, v)
 
     # I.order extends Bruhat order: the chains into order[i] are all in reps[i] before row i is read
@@ -134,7 +133,7 @@ def dimension_pair(pair):
         failures.append(f"{_pair_name(u, v)}: chain partition is chain-dependent")
 
     coatoms = coatom_transpositions(u, v)
-    if not (polytopes.label_partition(n, atoms) == polytopes.label_partition(n, coatoms) == blocks):
+    if polytopes.label_partition(n, atoms) != polytopes.label_partition(n, coatoms):
         failures.append(f"{_pair_name(u, v)}: atom/coatom partitions differ")
     if not (
         polytopes.increasing_cycle_free(n, atoms)
@@ -159,7 +158,7 @@ def faces_pair(pair):
     with the face lattice of exactlp on the vertex set of every [x, y],
     each criterion face is exposed by its normal-cone witness, and the
     lattice has no face beyond the criterion's, so every face is an
-    interval.  The 1-skeleton from the same pass has diameter = rank and
+    interval.  The 1-skeleton (polytopes.skeleton) has diameter = rank and
     an edge up (but at v) and down (but at u) at every vertex."""
     u, v = pair
     failures = []
@@ -169,13 +168,9 @@ def faces_pair(pair):
 
     lp_tests = 0
     criterion_faces = 0
-    adj = [0] * len(V)  # the 1-skeleton, bitset rows: the covers that pass the criterion
     for i, j, G in polytopes.face_graphs(I, I.pairs()):
         S = frozenset(V[k] for k in I.between(i, j))
         crit = polytopes.is_acyclic(G)
-        if crit and len(S) == 2:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
         lp_tests += 1
         if crit != (S in lattice):
             failures.append(
@@ -193,6 +188,7 @@ def faces_pair(pair):
             f"{_pair_name(u, v)}: {len(lattice)} faces, {criterion_faces} of them intervals"
         )
 
+    adj = polytopes.skeleton(I)
     d = polytopes.skeleton_diameter(adj)
     if d is None:
         failures.append(f"{_pair_name(u, v)}: 1-skeleton is disconnected")
@@ -258,7 +254,7 @@ def minkowski_pair(pair):
 
 
 # the sampled workers of the faces and dimension suites; dimension_pair
-# runs its one too, faces_pair reads the diameter from its own skeleton
+# runs its one too, faces_pair reads the diameter from the skeleton rows
 def diameter_pair(pair):
     u, v = pair
     failures = []

@@ -124,6 +124,19 @@ def interval(u: Perm, v: Perm) -> BruhatInterval:
     )
 
 
+def hasse(I: BruhatInterval):
+    """(lower, upper): for each element of the interval, the sorted lists of
+    the elements it covers and of the elements that cover it.  A cover is a
+    step up in the lexicographic order, so lower[x] + upper[x] is sorted."""
+    order = I.order
+    upper = {x: [order[j] for j, _t in row] for x, row in zip(order, I.up)}
+    lower = {z: [] for z in order}
+    for x, ys in upper.items():
+        for y in ys:
+            lower[y].append(x)
+    return lower, upper
+
+
 def atoms(I: BruhatInterval):
     """The covers of u inside the interval, with their transpositions."""
     return [(I.order[j], t) for j, t in I.up[0]]

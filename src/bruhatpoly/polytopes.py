@@ -24,6 +24,7 @@ from .intervals import (
     _bits,
     atom_transpositions,
     coatom_transpositions,
+    hasse,
     interval,
     require_leq,
 )
@@ -344,17 +345,22 @@ def skeleton_diameter(adj):
     return best
 
 
-def diameter(u: Perm, v: Perm):
-    """Diameter of the 1-skeleton, whose edges are the covers that pass
-    the face criterion; None if it is disconnected."""
-    I = interval(u, v)
+def skeleton(I: BruhatInterval):
+    """The 1-skeleton of the polytope of I as bitset rows, bit j of row i
+    for an edge order[i] - order[j]: its edges are the covers that pass the
+    face criterion."""
     covers = [(i, j) for i, row in enumerate(I.up) for j, _t in row]
     adj = [0] * len(I.order)
     for i, j, G in face_graphs(I, covers):
         if _kahn_order(G) is not None:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    return skeleton_diameter(adj)
+    return adj
+
+
+def diameter(u: Perm, v: Perm):
+    """Diameter of the 1-skeleton; None if it is disconnected."""
+    return skeleton_diameter(skeleton(interval(u, v)))
 
 
 def is_toric(u: Perm, v: Perm) -> bool:
@@ -393,14 +399,11 @@ def crown_type(u: Perm, v: Perm) -> int:
     I = interval(u, v)
     if I.rank != 3:
         raise DomainError(f"crown type needs rank 3, got rank {I.rank}")
-    mids = sorted(I.elements - {u, v})
-    lower = [z for z in mids if length(z) == length(u) + 1]
-    upper = [z for z in mids if length(z) == length(u) + 2]
-    k = len(lower)
-    covers = I.covers
-    assert len(upper) == k and len(I) == 2 * k + 2
-    assert all(sum((a, b) in covers for b in upper) == 2 for a in lower)
-    assert all(sum((a, b) in covers for a in lower) == 2 for b in upper)
+    lower, upper = hasse(I)
+    k = len(upper[u])
+    assert len(lower[v]) == k and len(I) == 2 * k + 2
+    assert all(len(upper[a]) == 2 for a in upper[u])
+    assert all(len(lower[b]) == 2 for b in lower[v])
     assert k in (2, 3, 4)
     return k
 

@@ -9,6 +9,11 @@ lifting relations, and inversion-minimality does not guarantee that t
 extends to a special matching of the interval.  Both counterexamples from
 the literature are reproduced here as executable checks
 (recurrence_counterexample_check, extend_to_special_matching).
+
+Special matchings read the Hasse diagram of the interval from
+intervals.hasse.  One backtracking search finds them, also for
+extend_to_special_matching, whose forced diamond propagation only builds
+the MatchingObstruction that explains why no matching has the seeds.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from math import comb
 from .errors import DomainError
 from .intervals import (
     BruhatInterval,
+    hasse,
     interval,
     inversion_minimal_transpositions,
     is_inversion_minimal,
@@ -231,20 +237,10 @@ def recurrence_counterexample_check() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def hasse_neighbors(I: BruhatInterval) -> dict:
-    adj = {z: set() for z in I.elements}
-    for x, y in I.covers:
-        adj[x].add(y)
-        adj[y].add(x)
-    return adj
-
-
 def is_matching(I: BruhatInterval, M: dict) -> bool:
-    adj = hasse_neighbors(I)
-    return (
-        set(M) == set(I.elements)
-        and all(M[M[x]] == x and M[x] != x for x in M)
-        and all(M[x] in adj[x] for x in M)
+    lower, upper = hasse(I)
+    return set(M) == set(I.elements) and all(
+        (M[x] in lower[x] or M[x] in upper[x]) and M[M[x]] == x for x in M
     )
 
 
@@ -253,19 +249,14 @@ def is_special_matching(I: BruhatInterval, M: dict) -> bool:
     x < y satisfies M(x) = y or M(x) <= M(y)."""
     if not is_matching(I, M):
         raise DomainError("not a total Hasse-edge involution on the interval")
-    return _violated_cover(sorted(I.covers), M) is None
+    return _violated_cover(I.covers, M) is None
 
 
 def multiplication_matching(I: BruhatInterval, t: Transposition):
     """The matching x -> x*t, if right multiplication by t is a matching of
     the Hasse diagram of the interval; None otherwise."""
-    M = {}
-    for x in I.elements:
-        xt = apply_transposition(x, t)
-        if xt not in I.elements or abs(length(xt) - length(x)) != 1:
-            return None
-        M[x] = xt
-    return M
+    M = {x: apply_transposition(x, t) for x in I.order}
+    return M if is_matching(I, M) else None
 
 
 def special_matching_r_identity(I: BruhatInterval, M: dict, u: Perm) -> bool:
@@ -279,7 +270,7 @@ def special_matching_r_identity(I: BruhatInterval, M: dict, u: Perm) -> bool:
         raise DomainError(f"{format_perm(u)} is not below {format_perm(I.v)}")
     w = I.v
     rhs = r_polynomial(M[u], M[w])
-    if length(M[u]) == length(u) + 1:
+    if M[u] > u:  # M(u) covers u: a cover steps up lexicographically
         rhs = _step(rhs, r_polynomial(u, M[w]))
     return r_polynomial(u, w) == rhs
 
@@ -295,37 +286,38 @@ def _violated_cover(covers, M: dict):
 
 def find_special_matchings(I: BruhatInterval):
     """All special matchings of the interval."""
-    return list(_special_matchings(I, {}, hasse_neighbors(I)))
+    return list(_special_matchings(I, {}, *hasse(I)))
 
 
-def _special_matchings(I: BruhatInterval, seeds: dict, adj: dict):
+def _rank_order(I: BruhatInterval):
+    return sorted(I.elements, key=lambda z: (length(z), z))
+
+
+def _special_matchings(I: BruhatInterval, seeds: dict, lower: dict, upper: dict):
     """Every special matching of the interval that extends the involution
     seeds, by backtracking over the elements in (length, word) order; each
-    cover is checked once its last endpoint is matched.  Nothing when seeds
-    is not a partial matching along Hasse edges or already violates a
-    cover.  adj is hasse_neighbors(I)."""
-    if any(seeds.get(z) != x or z not in adj.get(x, ()) for x, z in seeds.items()):
+    cover is checked once its last endpoint is matched.  Nothing when seeds,
+    elements of the interval, are not a partial matching along Hasse edges
+    or already violate a cover.  (lower, upper) is hasse(I)."""
+    if any(seeds.get(z) != x or z not in lower[x] + upper[x] for x, z in seeds.items()):
         return
-    covers_at = {z: [] for z in I.elements}
-    for x, y in I.covers:
-        covers_at[x].append((x, y))
-        covers_at[y].append((x, y))
-    order = sorted(I.elements, key=lambda z: (length(z), z))
+    order = _rank_order(I)
     M = dict(seeds)
 
     def consistent_around(x, z):
-        return _violated_cover(covers_at[x] + covers_at[z], M) is None
+        covers = [(y, a) for a in (x, z) for y in lower[a]]
+        covers += [(a, y) for a in (x, z) for y in upper[a]]
+        return _violated_cover(covers, M) is None
 
     def search():
         x = next((z for z in order if z not in M), None)
         if x is None:
             yield dict(M)
             return
-        for z in sorted(adj[x]):
+        for z in lower[x] + upper[x]:
             if z in M:
                 continue
-            M[x] = z
-            M[z] = x
+            M[x], M[z] = z, x
             if consistent_around(x, z):
                 yield from search()
             del M[x], M[z]
@@ -354,100 +346,75 @@ class MatchingObstruction(namedtuple("MatchingObstruction", "steps conflict")):
 
 
 def extend_to_special_matching(u: Perm, v: Perm, t: Transposition):
-    """Search for a special matching M of [u, v] with M(v) = vt, M(u) = ut.
+    """A special matching M of [u, v] with M(v) = vt and M(u) = ut, or a
+    MatchingObstruction when there is none.
 
-    Returns the matching when one exists.  Otherwise returns a
-    MatchingObstruction whose forced chain follows the hand-derivation
-    style: starting from the top seed, each unmatched neighbor is matched
-    by completing rank-2 diamonds, and the first special-condition
-    violation (scanning covers from the bottom) is reported.  A full
-    backtracking search confirms the nonexistence verdict.
+    The backtracking search of find_special_matchings decides, and its
+    first matching is returned.  The obstruction explains a failure in the
+    hand-derivation style: from the top seed, then the bottom one if both
+    its ends are still free, unmatched elements are forced by completing
+    rank-2 diamonds.  Its conflict is the first violated cover of the
+    forced map (covers in order), else the bottom seed matched elsewhere,
+    else the elements left unmatched.
     """
     if not is_inversion_minimal(u, v, t):
         raise DomainError(
             f"{t} is not inversion-minimal on ({format_perm(u)}, {format_perm(v)})"
         )
     I = interval(u, v)
-    vt = apply_transposition(v, t)
-    ut = apply_transposition(u, t)
-    adj = hasse_neighbors(I)
+    ut, vt = apply_transposition(u, t), apply_transposition(v, t)
+    lower, upper = hasse(I)
+    if (found := next(_special_matchings(I, {v: vt, vt: v, u: ut, ut: u}, lower, upper), None)):
+        return found
 
+    order = _rank_order(I)
     M: dict = {}
     steps = []
 
     def assign(x, z):
-        M[x] = z
-        M[z] = x
-        steps.append((x, z) if length(x) > length(z) else (z, x))
-
-    def down(x):
-        return sorted(z for z in adj[x] if length(z) == length(x) - 1)
-
-    def up(x):
-        return sorted(z for z in adj[x] if length(z) == length(x) + 1)
+        M[x], M[z] = z, x
+        steps.append((x, z) if z in lower[x] else (z, x))
 
     def rule_a_dfs(d):
         # d is matched downward; force unmatched cocovers x of d by the
         # unique unmatched common cocover of x and M(d), when it exists
-        for x in down(d):
-            if x in M or x == M[d]:
-                continue
-            cands = [z for z in down(x) if z not in M and z in adj.get(M[d], ()) and length(z) == length(M[d]) - 1]
-            if len(cands) == 1:
+        for x in lower[d]:
+            cands = [z for z in lower[x] if z not in M and z in lower[M[d]]]
+            if x not in M and len(cands) == 1:
                 assign(x, cands[0])
                 rule_a_dfs(x)
 
     def rule_b_once():
         # force an unmatched element y from below: if x < y with M(x) < x,
         # the diamond [M(x), y] has exactly one middle besides x
-        for y in sorted((z for z in I.elements if z not in M), key=lambda z: (length(z), z)):
-            for x in sorted(down(y), reverse=True):
-                if x not in M or length(M[x]) != length(x) - 1:
+        for y in [z for z in order if z not in M]:
+            for x in reversed(lower[y]):
+                if M.get(x) not in lower[x]:
                     continue
-                mids = [w for w in up(M[x]) if w != x and y in adj[w]]
+                mids = [w for w in upper[M[x]] if w != x and y in upper[w]]
                 if len(mids) == 1 and mids[0] not in M:
                     assign(y, mids[0])
                     return y
         return None
 
     def propagate_from(d):
-        rule_a_dfs(d)
-        while True:
-            y = rule_b_once()
-            if y is None:
-                break
-            rule_a_dfs(y)
+        while d is not None:
+            rule_a_dfs(d)
+            d = rule_b_once()
 
-    # seed at the top, propagate, then seed at the bottom if still free;
-    # a violated cover takes precedence over a bottom-seed mismatch, since
-    # it already refutes every matching containing the forced chain
     assign(v, vt)
     propagate_from(v)
-    conflict = None
     if not (u in M or ut in M):
         assign(u, ut)
         propagate_from(u)
-    if set(M) == set(I.elements):
-        bad = _violated_cover(sorted(I.covers), M)
-        if bad is not None:
-            x, y = bad
-            conflict = {"kind": "cover-violation", "cover": (x, y), "Mx": M[x], "My": M[y]}
-        elif M.get(u) != ut:
-            conflict = {"kind": "seed-conflict", "u": u, "ut": ut, "Mu": M.get(u)}
-        else:
-            return M
-    elif u in M and M.get(u) != ut:
-        conflict = {"kind": "seed-conflict", "u": u, "ut": ut, "Mu": M.get(u)}
+    # a violated cover refutes every matching with the forced chain; a complete
+    # forced map with none and M(u) = ut would be a matching the search found
+    bad = _violated_cover(sorted(I.covers), M)
+    if bad is not None:
+        x, y = bad
+        conflict = {"kind": "cover-violation", "cover": (x, y), "Mx": M[x], "My": M[y]}
+    elif M.get(u, ut) != ut:
+        conflict = {"kind": "seed-conflict", "u": u, "ut": ut, "Mu": M[u]}
     else:
-        conflict = {
-            "kind": "incomplete",
-            "unmatched": tuple(sorted(z for z in I.elements if z not in M)),
-        }
-
-    # the forced chain is heuristic; a full search settles existence
-    completion = next(
-        _special_matchings(I, {v: vt, vt: v, u: ut, ut: u}, adj), None
-    )
-    if completion is not None:
-        return completion
+        conflict = {"kind": "incomplete", "unmatched": tuple(z for z in I.order if z not in M)}
     return MatchingObstruction(steps=tuple(steps), conflict=conflict)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -303,6 +304,28 @@ def test_toric_and_crown():
     assert is_toric(u, v) == (crown_type(u, v) in (3, 4))
     assert increasing_cycle_free(4, atom_transpositions(u, v))
     assert increasing_cycle_free(4, coatom_transpositions(u, v))
+
+
+def test_increasing_cycle_free_against_brute_force():
+    # every simple graph on 3..5 vertices (8 + 64 + 1,024): an increasing
+    # cycle is a vertex set, listed ascending, whose consecutive members and
+    # last and first are adjacent
+    graphs = 0
+    for n in (3, 4, 5):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            labels = [p for k, p in enumerate(pairs) if mask >> k & 1]
+            edge = set(labels).__contains__
+            cycle = any(
+                all(edge(p) for p in zip(s, s[1:])) and edge((s[0], s[-1]))
+                for size in range(3, n + 1) for s in combinations(range(1, n + 1), size)
+            )
+            assert increasing_cycle_free(n, labels) == (not cycle), (n, labels)
+            graphs += 1
+    assert graphs == 1096
+    # a repeated label is an increasing 2-cycle
+    assert increasing_cycle_free(3, [(1, 2), (2, 3)])
+    assert not increasing_cycle_free(3, [(1, 2), (2, 3), (1, 2)])
 
 
 def test_toric_forest_and_vertex_inequalities_on_sampled_pairs():

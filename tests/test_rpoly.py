@@ -144,6 +144,13 @@ def test_special_matching_r_identity_lower_interval():
     assert moves[True] == moves[False] > 0
 
 
+def test_matching_outside_the_interval_is_a_domain_error():
+    # M(213) = 123 is a Hasse neighbour, but M(123) = 132 lies outside [123, 213]
+    I = interval(P("123"), P("213"))
+    with pytest.raises(DomainError):
+        is_special_matching(I, {P("123"): P("132"), P("213"): P("123")})
+
+
 def test_find_special_matchings_returns_involutions():
     I = interval(identity(4), P("3412"))
     matchings = find_special_matchings(I)

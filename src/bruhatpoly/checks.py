@@ -254,7 +254,9 @@ def minkowski_pair(pair):
 
 
 # the sampled workers of the faces and dimension suites; dimension_pair
-# runs its one too, faces_pair reads the diameter from the skeleton rows
+# runs its one too.  diameter_pair builds the 1-skeleton and grows every
+# ball at once (polytopes.skeleton_diameter), so its cost is rounds times
+# edges; faces_pair reads the diameter from the skeleton rows it holds
 def diameter_pair(pair):
     u, v = pair
     failures = []

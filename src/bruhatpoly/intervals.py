@@ -107,11 +107,17 @@ def interval(u: Perm, v: Perm) -> BruhatInterval:
         frontier = found
     order = sorted(ups)
     index = {z: i for i, z in enumerate(order)}
-    up = [sorted((index[y], t) for y, t in ups[z]) for z in order]
+    below = [[] for _ in order]  # below[j]: the i of each cover order[i] < order[j], ascending
     down = [[] for _ in order]
-    for row in up:
-        for j, t in row:
+    for i, z in enumerate(order):
+        for y, t in ups[z]:
+            j = index[y]
+            below[j].append(i)
             down[j].append(t)
+    up = [[] for _ in order]  # filled with j ascending, so no row needs a sort
+    for j, (row, ts) in enumerate(zip(below, down)):
+        for i, t in zip(row, ts):
+            up[i].append((j, t))
     above = [0] * len(order)
     for i in range(len(order) - 1, -1, -1):
         bits = 1 << i

@@ -326,23 +326,28 @@ def normal_cone(x: Perm, y: Perm, u: Perm, v: Perm):
 
 def skeleton_diameter(adj):
     """Diameter of the graph with bitset rows adj (bit j of adj[i] for an
-    edge i - j), by a BFS from every vertex over bitset frontiers; None
-    if the graph is disconnected."""
-    best = 0
-    for start in range(len(adj)):
-        seen = frontier = 1 << start
-        steps = -1
-        while frontier:
-            steps += 1
-            reached = 0
-            for a in _bits(frontier):
-                reached |= adj[a]
-            frontier = reached & ~seen
-            seen |= frontier
-        if seen != (1 << len(adj)) - 1:
+    edge i - j); None if the graph is disconnected.  Every ball grows at
+    once: after r rounds ball[i] holds the vertices within distance r of
+    i, and a round joins i's ball to its neighbours' balls of the round
+    before.  The diameter is the number of rounds until every ball is the
+    whole vertex set; a round that grows no ball before then means the
+    graph is disconnected.  That is diameter * 2E big-int ORs, and two
+    generations of rows, N^2/4 bytes for N vertices."""
+    full = (1 << len(adj)) - 1
+    nbrs = [list(_bits(row)) for row in adj]
+    ball = [1 << i for i in range(len(adj))]
+    steps = 0
+    while ball and min(ball) != full:
+        grown = []
+        for b, ks in zip(ball, nbrs):
+            for k in ks:
+                b |= ball[k]
+            grown.append(b)
+        if grown == ball:
             return None
-        best = max(best, steps)
-    return best
+        ball = grown
+        steps += 1
+    return steps
 
 
 def skeleton(I: BruhatInterval):

@@ -116,6 +116,29 @@ def test_faces_pair_sees_a_vertex_without_an_edge(monkeypatch):
     ]
 
 
+def _without_edge_at_e(adj):
+    # the hexagon [123, 321] without one edge at e is a path on 6 vertices
+    adj = list(adj)
+    k = (adj[0] & -adj[0]).bit_length() - 1
+    adj[0] &= ~(1 << k)
+    adj[k] &= ~1
+    return adj
+
+
+def _without_edges_at_v(adj):
+    top = len(adj) - 1
+    return [row & ~(1 << top) for row in adj[:top]] + [0]
+
+
+@pytest.mark.parametrize("cut, d", [(_without_edge_at_e, 5), (_without_edges_at_v, None)])
+def test_diameter_pair_sees_a_skeleton_that_loses_edges(monkeypatch, cut, d):
+    real = polytopes.skeleton
+    monkeypatch.setattr(polytopes, "skeleton", lambda I: cut(real(I)))
+    u, v = identity(3), longest_element(3)
+    assert polytopes.diameter(u, v) == d
+    assert checks.diameter_pair((u, v))["failures"] == ["[123,321]: diameter != rank"]
+
+
 def test_sampler_unranks_in_lexicographic_order():
     S5 = all_perms(5)
     assert [checks._lex_perm(k, 5) for k in range(len(S5))] == S5

@@ -69,6 +69,15 @@ def test_polytope_dim(capsys):
     assert doc["results"]["partition"] == "|1|234|"
 
 
+def test_polytope_diameter_at_n7(capsys):
+    # S_7 [e, w0]: 5,040 vertices, every ball grown at once in 21 rounds
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "polytope", "1234567", "7654321", "--diameter"
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["diameter"] == 21
+
+
 def test_polytope_ineq(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "polytope", "1324", "2431", "--ineq"

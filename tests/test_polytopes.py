@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -38,6 +39,8 @@ from bruhatpoly.polytopes import (
     label_partition,
     minkowski_check,
     normal_cone,
+    skeleton,
+    skeleton_diameter,
     vertices,
 )
 
@@ -296,6 +299,70 @@ def test_diameter_equals_rank():
         assert diameter(u, v) == length(v) - length(u)
         # every polytope edge spans a cover
         assert all(len(interval(x, y)) == 2 for x, y, d in enumerate_faces(u, v) if d == 1)
+
+
+def _rows(n, edges):
+    """Bitset rows of the graph on range(n) with the given edges."""
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+@pytest.mark.parametrize(
+    "adj, expected",
+    [
+        ([], 0),
+        (_rows(1, []), 0),
+        (_rows(2, []), None),
+        (_rows(2, [(0, 1)]), 1),
+        (_rows(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 4),
+        (_rows(9, [(3, 7), (7, 1), (1, 8), (8, 0), (0, 5), (5, 2), (2, 6), (6, 4)]), 8),
+        (_rows(7, [(i, (i + 1) % 7) for i in range(7)]), 3),
+        (_rows(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]), None),
+        (_rows(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]), 2),
+    ],
+)
+def test_skeleton_diameter_on_hand_built_graphs(adj, expected):
+    assert skeleton_diameter(adj) == expected
+
+
+def _bfs_diameter(adj):
+    """Diameter by a breadth-first search from every vertex over neighbour
+    lists read bit by bit; None if some vertex is not reached."""
+    n = len(adj)
+    nbrs = [[j for j in range(n) if row >> j & 1] for row in adj]
+    best = 0
+    for start in range(n):
+        dist = {start: 0}
+        queue = deque([start])
+        while queue:
+            a = queue.popleft()
+            for b in nbrs[a]:
+                if b not in dist:
+                    dist[b] = dist[a] + 1
+                    queue.append(b)
+        if len(dist) < n:
+            return None
+        best = max(best, max(dist.values()))
+    return best
+
+
+def test_skeleton_diameter_matches_a_reference_bfs():
+    pairs = (
+        list(comparable_pairs(4))
+        + list(comparable_pairs(5))[::25]
+        + list(sampled_pairs(6, 20, 7))
+    )
+    assert len(pairs) == 189 + 147 + 20
+    for u, v in pairs:
+        adj = skeleton(interval(u, v))
+        assert skeleton_diameter(adj) == _bfs_diameter(adj) == length(v) - length(u)
+
+
+def test_diameter_of_s6_is_its_rank():
+    assert diameter(identity(6), longest_element(6)) == 15
 
 
 def test_toric_and_crown():

@@ -207,6 +207,10 @@ def faces_pair(pair):
     return {"lp_tests": lp_tests, "failures": failures}
 
 
+def _greatest_descent(w):
+    return max(descents(w))
+
+
 def rpoly_pair(pair):
     u, v = pair
     failures = []
@@ -215,7 +219,7 @@ def rpoly_pair(pair):
         failures.append(f"{_pair_name(u, v)}: generalized recurrence fails")
 
     r_min = rpoly.r_polynomial(u, v)
-    r_max = rpoly.r_polynomial(u, v, descent_choice=lambda w: max(descents(w)))
+    r_max = rpoly.r_polynomial(u, v, descent_choice=_greatest_descent)
     if r_min != r_max:
         failures.append(f"{_pair_name(u, v)}: descent-choice dependent")
 

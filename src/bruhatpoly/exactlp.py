@@ -47,16 +47,13 @@ def _integer_points(points):
     one common scale keeps every affine relation."""
     _check_points(points)
     try:
-        den = 1
-        for p in points:
-            for x in p:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points]
+        den = math.lcm(*{x.denominator for p in points for x in p})
     except AttributeError:
         bad = next(x for p in points for x in p if not hasattr(x, "denominator"))
-        raise DomainError(
-            f"coordinates must be int or Fraction, got {bad!r}"
-        ) from None
+        raise DomainError(f"coordinates must be int or Fraction, got {bad!r}") from None
+    if den == 1:
+        return [tuple(x.numerator for x in p) for p in points]
+    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points]
 
 
 def _pivot_columns(ints):

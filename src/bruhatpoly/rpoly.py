@@ -100,9 +100,9 @@ def _least_right_descent(v: Perm) -> int:
     return next(i for i in range(1, len(v)) if v[i - 1] > v[i])
 
 
-# Memo of the least-right-descent recursion, keyed by (tilde, u, v); cleared
-# when a call ends with more than MEMO_LIMIT entries, so that it never holds
-# more between calls.
+# Memo of every run of the recurrence, keyed by (tilde, descent_choice, u, v)
+# with None for the least right descent; cleared when a call ends with more
+# than MEMO_LIMIT entries, so that it never holds more between calls.
 MEMO_LIMIT = 20_000
 _MEMO: dict = {}
 
@@ -111,8 +111,9 @@ def r_polynomial(u: Perm, v: Perm, descent_choice=None) -> IntPolynomial:
     """R_{u,v}(q) by the descent recurrence.
 
     descent_choice(v) may override which right descent of v drives the
-    recursion (the result is independent of it; tests exploit this);
-    overridden runs keep a memo of their own for the one call.
+    recursion (the result is independent of it; tests exploit this).  It
+    must be a pure function of v returning a right descent (else a
+    DomainError): every choice shares the one bounded memo, under its key.
     """
     return _recurrence(u, v, False, descent_choice)
 
@@ -123,9 +124,9 @@ def r_tilde(u: Perm, v: Perm) -> IntPolynomial:
     return _recurrence(u, v, True, None)
 
 
-def _recurrence(u, v, tilde, chooser):
+def _recurrence(u, v, tilde, descent_choice):
     """F_{u,v} for F = R (tilde False) or R~ (tilde True), with s = s_i and
-    i = chooser(v) a right descent of v:
+    i = descent_choice(v) a right descent of v, the least by default:
 
         F_{u,v} = F_{us,vs}                          if i is a descent of u,
         F_{u,v} = _step(F_{us,vs}, F_{u,vs}, tilde)  otherwise,
@@ -134,26 +135,23 @@ def _recurrence(u, v, tilde, chooser):
     """
     if len(u) != len(v):
         raise DomainError(f"size mismatch: {len(u)} vs {len(v)}")
-    if chooser is None:
-        memo, chooser = _MEMO, _least_right_descent
-    else:
-        memo = {}
+    choose = descent_choice or _least_right_descent
 
     def rec(u, v):
         if u == v:
             return ONE
-        if not bruhat_leq(u, v):
-            return ZERO
-        key = (tilde, u, v)
-        if key in memo:
-            return memo[key]
-        i = chooser(v)
+        key = (tilde, descent_choice, u, v)
+        if key not in _MEMO:
+            _MEMO[key] = down(u, v) if bruhat_leq(u, v) else ZERO
+        return _MEMO[key]
+
+    def down(u, v):
+        i = choose(v)
+        if not (isinstance(i, int) and 0 < i < len(v) and v[i - 1] > v[i]):
+            raise DomainError(f"descent_choice gave {i!r}, not a right descent of {format_perm(v)}")
         vs = apply_transposition(v, (i, i + 1))
         result = rec(apply_transposition(u, (i, i + 1)), vs)
-        if u[i - 1] < u[i]:
-            result = _step(result, rec(u, vs), tilde)
-        memo[key] = result
-        return result
+        return _step(result, rec(u, vs), tilde) if u[i - 1] < u[i] else result
 
     try:
         return rec(u, v)

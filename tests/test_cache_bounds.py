@@ -9,7 +9,7 @@ import pkgutil
 import bruhatpoly
 from bruhatpoly import checks, parabolic, polytopes, rpoly
 from bruhatpoly.intervals import interval
-from bruhatpoly.perms import identity, longest_element, parse_perm
+from bruhatpoly.perms import all_perms, identity, longest_element, parse_perm
 
 
 def _module_caches():
@@ -32,13 +32,29 @@ def test_every_module_cache_is_bounded():
 
 
 def test_r_memo_keeps_its_limit_between_calls(monkeypatch):
-    # [e, w0] of S_6 fills the memo with 199 entries
+    # [e, w0] of S_6 fills the memo with 274 entries, its zeros among them
     monkeypatch.setattr(rpoly, "MEMO_LIMIT", 50)
     rpoly._MEMO.clear()
     e, w0 = identity(6), longest_element(6)
     for recurrence in (rpoly.r_polynomial, rpoly.r_tilde):
         assert recurrence(e, w0).degree == 15
         assert len(rpoly._MEMO) <= rpoly.MEMO_LIMIT
+
+
+def test_r_memo_keeps_its_limit_across_descent_choices(monkeypatch):
+    # the least and the greatest descent fill the one memo under their own
+    # keys; interleaved, they never leave it above the limit
+    monkeypatch.setattr(rpoly, "MEMO_LIMIT", 40)
+    rpoly._MEMO.clear()
+    e = identity(5)
+    sizes = []
+    for v in sorted(all_perms(5)):
+        for choice in (None, checks._greatest_descent):
+            rpoly.r_polynomial(e, v, descent_choice=choice)
+            sizes.append(len(rpoly._MEMO))
+    assert max(sizes) <= rpoly.MEMO_LIMIT
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    assert {key[1] for key in rpoly._MEMO} <= {None, checks._greatest_descent}
 
 
 def test_faces_pair_builds_only_its_own_interval():

@@ -34,6 +34,21 @@ def test_affine_rank_translation_invariant():
     assert affine_rank(pts) == affine_rank(shifted)
 
 
+def test_affine_rank_reads_whole_fractions_as_ints():
+    # denominators that are all 1 skip the scaling and keep the rank; a
+    # float or str among them is still refused
+    pts = [(0, 0, 1), (2, 1, 0), (1, 1, 1), (0, 3, 2)]
+    whole = [tuple(Fraction(x, 1) for x in p) for p in pts]
+    assert affine_rank(whole) == affine_rank(pts) == 3
+    assert affine_rank(whole[:2] + pts[2:]) == 3
+    assert affine_rank([tuple(Fraction(x, 2) for x in p) for p in pts]) == 3
+    assert affine_rank(whole[:2] + [(Fraction(1, 2),) * 3, (1, 1, 1)]) == 3
+    assert face_lattice(whole) == face_lattice(pts)
+    for bad in (1.0, 0.5, "1"):
+        with pytest.raises(DomainError, match=f"int or Fraction, got {bad!r}"):
+            affine_rank(whole[:3] + [(0, bad, 0)])
+
+
 def test_extreme_points_with_one_more_point():
     # a point of the hull adds no extreme point; one outside it is one
     assert extreme_points(SQUARE + [(0, 0)]) == SQUARE

@@ -81,6 +81,45 @@ def test_descent_choice_independence():
         )
 
 
+def test_descent_choice_is_not_read_from_the_default_memo():
+    # with the default run in the memo, a chooser still drives a recursion of
+    # its own, so the descent-choice check compares two independent runs
+    for u in all_perms(4):
+        for v in all_perms(4):
+            if u == v or not bruhat_leq(u, v):
+                continue
+            least = r_polynomial(u, v)
+            seen = []
+
+            def greatest(w):
+                seen.append(w)
+                return max(descents(w))
+
+            assert r_polynomial(u, v, descent_choice=greatest) == least
+            assert seen and seen[0] == v
+
+
+def test_bad_descent_choice_is_a_domain_error():
+    from bruhatpoly import rpoly
+
+    for bad in (1, 7, 0, None):
+        with pytest.raises(DomainError, match=f"gave {bad}, not a right descent of 231"):
+            r_polynomial(P("123"), P("231"), descent_choice=lambda w: bad)
+    # an ascent at one element deep in [e, w0]: the error comes before any
+    # step from it, so what the memo kept under this chooser is still right
+    bad = P("1243")
+    rpoly._MEMO.clear()
+
+    def ascent_at_bad(w):
+        return min(set(range(1, 4)) - descents(w)) if w == bad else max(descents(w))
+
+    with pytest.raises(DomainError, match="gave 1, not a right descent of 1243"):
+        r_polynomial(identity(4), P("4321"), descent_choice=ascent_at_bad)
+    kept = [k for k in rpoly._MEMO if k[1] is ascent_at_bad]
+    assert any(rpoly._MEMO[k] != ZERO for k in kept)
+    assert all(rpoly._MEMO[k] == r_polynomial(*k[2:]) for k in kept)
+
+
 def test_r_tilde_substitution():
     for u, v in [(P("1234"), P("4231")), (P("1324"), P("4231"))]:
         assert r_tilde(u, v).coeffs[-1] == 1

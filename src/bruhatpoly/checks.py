@@ -158,35 +158,34 @@ def faces_pair(pair):
     with the face lattice of exactlp on the vertex set of every [x, y],
     each criterion face is exposed by its normal-cone witness, and the
     lattice has no face beyond the criterion's, so every face is an
-    interval.  The 1-skeleton (polytopes.skeleton) has diameter = rank and
-    an edge up (but at v) and down (but at u) at every vertex."""
+    interval; polytopes.enumerate_faces gives the criterion's faces.  The
+    1-skeleton (polytopes.skeleton) has diameter = rank and an edge up
+    (but at v) and down (but at u) at every vertex."""
     u, v = pair
     failures = []
     I = interval(u, v)
     V = list(I.order)
     lattice = exactlp.face_lattice(V)
 
-    lp_tests = 0
-    criterion_faces = 0
+    found = []
     for i, j, G in polytopes.face_graphs(I, I.pairs()):
         S = frozenset(V[k] for k in I.between(i, j))
         crit = polytopes.is_acyclic(G)
-        lp_tests += 1
         if crit != (S in lattice):
             failures.append(
                 f"{_pair_name(u, v)}: criterion {crit} vs lattice {not crit} on {_pair_name(V[i], V[j])}"
             )
         if crit:
-            criterion_faces += 1
+            found.append((V[i], V[j], len(u) - G[1].bit_count()))
             w = polytopes.witness(G)
             if set(exactlp.face_vertices(w, V)) != S:
                 failures.append(
                     f"{_pair_name(u, v)}: witness {w} does not expose {_pair_name(V[i], V[j])}"
                 )
-    if len(lattice) != criterion_faces:
-        failures.append(
-            f"{_pair_name(u, v)}: {len(lattice)} faces, {criterion_faces} of them intervals"
-        )
+    if len(lattice) != len(found):
+        failures.append(f"{_pair_name(u, v)}: {len(lattice)} faces, {len(found)} of them intervals")
+    if found != polytopes.enumerate_faces(u, v):
+        failures.append(f"{_pair_name(u, v)}: facet closure differs from the criterion")
 
     adj = polytopes.skeleton(I)
     d = polytopes.skeleton_diameter(adj)
@@ -204,7 +203,7 @@ def faces_pair(pair):
         if polytopes.is_toric(u, v) != (k in (3, 4)):
             failures.append(f"{_pair_name(u, v)}: toric vs {k}-crown mismatch")
 
-    return {"lp_tests": lp_tests, "failures": failures}
+    return {"lp_tests": sum(map(int.bit_count, I.above)), "failures": failures}
 
 
 def _greatest_descent(w):
@@ -258,9 +257,7 @@ def minkowski_pair(pair):
 
 
 # the sampled workers of the faces and dimension suites; dimension_pair
-# runs its one too.  diameter_pair builds the 1-skeleton and grows every
-# ball at once (polytopes.skeleton_diameter), so its cost is rounds times
-# edges; faces_pair reads the diameter from the skeleton rows it holds
+# runs its one too, and faces_pair reads the diameter from its skeleton
 def diameter_pair(pair):
     u, v = pair
     failures = []

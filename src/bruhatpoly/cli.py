@@ -190,9 +190,7 @@ def cmd_polytope(args, u, v, inputs):
         results["description"] = polytopes.bip_inequalities(u, v).to_json_dict()
     if args.faces:
         faces = polytopes.enumerate_faces(u, v)
-        results["f_vector"] = list(
-            polytopes.f_vector_of(faces, polytopes.dimension(u, v))
-        )
+        results["f_vector"] = list(polytopes.f_vector_of(faces))
         results["faces"] = [
             {"x": format_perm(x), "y": format_perm(y), "dim": d}
             for x, y, d in faces

@@ -145,13 +145,20 @@ def face_lattice(V):
     if len(V) > MAX_POINTS or dim > MAX_DIM:
         raise DomainError(f"scale guard exceeded: {len(V)} points in dimension {dim}")
     uniq, facets = _facets(V)
-    masks = {(1 << len(uniq)) - 1}
+    return {
+        frozenset(p for i, p in enumerate(uniq) if m >> i & 1)
+        for m in intersections(facets, (1 << len(uniq)) - 1)
+    }
+
+
+def intersections(facets, full):
+    """Every face as a vertex bitmask: the nonempty intersections of the
+    facet bitmasks, full (that of no facet) included."""
+    masks = {full}
     for f in facets:
         masks |= {f & g for g in masks}
     masks.discard(0)
-    return {
-        frozenset(p for i, p in enumerate(uniq) if m >> i & 1) for m in masks
-    }
+    return masks
 
 
 def is_face(S, V) -> bool:

@@ -13,6 +13,7 @@ descent of u.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import DomainError, NotComparableError
 from .perms import (
@@ -193,13 +194,7 @@ def inversion_minimal_transpositions(u: Perm, v: Perm):
     """
     if u == v:
         raise DomainError("inversion-minimal transpositions need u != v")
-    n = len(u)
-    out = []
-    for i in range(1, n + 1):
-        for k in range(i + 1, n + 1):
-            if is_inversion_minimal(u, v, (i, k)):
-                out.append((i, k))
-    return out
+    return [t for t in combinations(range(1, len(u) + 1), 2) if is_inversion_minimal(u, v, t)]
 
 
 def generalized_lift(u: Perm, v: Perm):

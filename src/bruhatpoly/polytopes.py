@@ -5,14 +5,18 @@ Combinatorial structure is read off the interval itself: the partition of
 {1..n} induced by chain labels gives dimension, affine span and toricness;
 matroids of first values give an inequality description; a small digraph
 criterion, on face graphs held as bitset tuples (rep, nodes, pred), decides
-which subintervals give faces.  The exact polytope oracle (exactlp module),
-which computes faces from the points alone, is the geometric ground truth
-for all of this in the tests and suites.
+which subintervals give faces.  Edges are covers, parallel to roots
+e_a - e_b, so each facet maximizes a 0/1 direction, and the faces are the
+facets closed under intersection.  The exact polytope oracle (exactlp
+module), which computes faces from the points alone, is the geometric
+ground truth for all of this in the tests and suites.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+import sys
+from array import array
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import combinations, product
 from operator import mul
@@ -274,31 +278,69 @@ def face_graphs(I: BruhatInterval, pairs):
         yield i, j, (rep, nodes, _face_pred(n, rep, up_labels[j], down[i]))
 
 
+MAX_FACE_ELEMENTS = 5040  # S_7 [e, w0]; the 545,835 face masks of S_8 would take 2.7 GB
+
+
+def _facets(I: BruhatInterval):
+    """The facets of the polytope of I as bitmasks over I.order: the maximal
+    proper tight sets, the vertices z maximizing the sum of z(i) over i in A.
+    Each z in I permutes every block of the label partition, so the block
+    sums are constant and the polytope is the product of its projections to
+    the blocks (separators of a generalized permutohedron, Fujishige): A
+    runs over the proper subsets of one block.  Lane k of column i holds
+    z(i) for z = order[k]; no sum s reaches a lane's top bit, so
+    m - 1 + top - s sets it where s is below its maximum m."""
+    n, N = len(I.u), len(I)
+    w, code = next(c for c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if n * (n + 1) < 256 ** c[0])
+    cols = [int.from_bytes(array(code, c).tobytes(), sys.byteorder) for c in zip(*I.order)]
+    ones = int.from_bytes(array(code, [1] * N).tobytes(), sys.byteorder)
+    top = ones << 8 * w - 1
+    tight = set()
+    for B in label_partition(n, [t for _j, t in I.up[0]]):
+        sums = [0]
+        for i in B:
+            sums += [s + cols[i - 1] for s in sums]
+        for s in sums[1:-1]:  # the proper nonempty subsets of B
+            m = max(memoryview(s.to_bytes(N * w, sys.byteorder)).cast(code))
+            below = (((m - 1) * ones + top - s) & top).to_bytes(N * w, "little")[w - 1::w]
+            tight.add(int(below.translate(b"1" * 128 + b"0" * 128)[::-1], 2))  # top bit clear: 1
+    facets = []
+    for F in sorted(tight - {(1 << N) - 1}, key=int.bit_count, reverse=True):
+        if all(F & G != F for G in facets):
+            facets.append(F)
+    return facets
+
+
 def enumerate_faces(u: Perm, v: Perm):
-    """All faces as triples (x, y, dim), one for each pair x <= y in [u, v]
-    that passes the face criterion, sorted by (x, y, dim); every pair is
-    read from the interval's cover table.  A face is fixed by its Bruhat
-    minimum and maximum, so no two triples share a vertex set.  Counting by
-    dim gives the f-vector."""
+    """All faces as triples (x, y, dim), sorted by (x, y): the facets closed
+    under intersection.  A face is the subinterval [x, y] of its vertices,
+    so x and y are the lowest and highest bits of its mask, and dim is n
+    minus the blocks of the labels of the covers at x in it."""
     I = interval(u, v)
-    n = len(u)
-    return [
-        (I.order[i], I.order[j], n - G[1].bit_count())
-        for i, j, G in face_graphs(I, I.pairs())
-        if _kahn_order(G) is not None  # is_acyclic inlined: 7% of the S_6 lattice
-    ]
+    if len(I) > MAX_FACE_ELEMENTS:
+        raise DomainError(
+            f"face enumeration is bounded to {MAX_FACE_ELEMENTS} elements; the interval has {len(I)}"
+        )
+    n, order, up = len(u), I.order, I.up
+    dims, faces = {}, []  # the dimension of [x, y], memoised by its inner labels
+    for F in exactlp.intersections(_facets(I), (1 << len(order)) - 1):
+        i = (F & -F).bit_length() - 1
+        inner = tuple(t for k, t in up[i] if F >> k & 1)
+        if inner not in dims:
+            dims[inner] = n - len(set(_block_reps(n, inner)))
+        faces.append((i, F.bit_length() - 1, dims[inner]))
+    return [(order[i], order[j], d) for i, j, d in sorted(faces)]
 
 
-def f_vector_of(faces, top: int):
-    """Face counts by dimension 0..top of a list of (x, y, dim) triples."""
-    counts = [0] * (top + 1)
-    for _x, _y, d in faces:
-        counts[d] += 1
-    return tuple(counts)
+def f_vector_of(faces):
+    """Face counts by dimension, 0 up to the top face's, of a list of
+    (x, y, dim) triples."""
+    counts = Counter(d for _x, _y, d in faces)
+    return tuple(counts[d] for d in range(max(counts) + 1))
 
 
 def f_vector(u: Perm, v: Perm):
-    return f_vector_of(enumerate_faces(u, v), dimension(u, v))
+    return f_vector_of(enumerate_faces(u, v))
 
 
 def normal_cone(x: Perm, y: Perm, u: Perm, v: Perm):

@@ -139,6 +139,20 @@ def test_diameter_pair_sees_a_skeleton_that_loses_edges(monkeypatch, cut, d):
     assert checks.diameter_pair((u, v))["failures"] == ["[123,321]: diameter != rank"]
 
 
+def test_faces_pair_sees_a_closure_that_drops_a_facet(monkeypatch):
+    real = polytopes._facets
+    monkeypatch.setattr(polytopes, "_facets", lambda I: real(I)[1:])
+    failures = checks.faces_pair((identity(3), longest_element(3)))["failures"]
+    assert failures == ["[123,321]: facet closure differs from the criterion"]
+
+
+def test_faces_pair_sees_a_diameter_below_the_rank(monkeypatch):
+    real = polytopes.skeleton_diameter
+    monkeypatch.setattr(polytopes, "skeleton_diameter", lambda adj: real(adj) - 1)
+    failures = checks.faces_pair((identity(4), longest_element(4)))["failures"]
+    assert failures == ["[1234,4321]: diameter != rank"]
+
+
 def test_sampler_unranks_in_lexicographic_order():
     S5 = all_perms(5)
     assert [checks._lex_perm(k, 5) for k in range(len(S5))] == S5

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bruhatpoly import checks
+from bruhatpoly import checks, polytopes
 from bruhatpoly.cli import _write_json, main
 
 
@@ -133,6 +133,13 @@ def test_polytope_faces_includes_example(capsys):
     doc = json.loads(out)
     assert doc["results"]["f_vector"] == [8, 12, 6, 1]
     assert {"x": "2143", "y": "4132", "dim": 2} in doc["results"]["faces"]
+
+
+def test_polytope_faces_past_the_bound_is_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr(polytopes, "MAX_FACE_ELEMENTS", 5)
+    code, out, err = run_cli(capsys, "polytope", "123", "321", "--faces")
+    assert (code, out) == (3, "")
+    assert err == "domain error: face enumeration is bounded to 5 elements; the interval has 6\n"
 
 
 def test_rpoly_golden(capsys):

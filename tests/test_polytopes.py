@@ -1,10 +1,11 @@
 import random
 from collections import deque
 from itertools import combinations
+from math import comb, factorial
 
 import pytest
 
-from bruhatpoly import exactlp
+from bruhatpoly import exactlp, polytopes
 from bruhatpoly.checks import comparable_pairs, sampled_pairs
 from bruhatpoly.errors import DomainError, NotComparableError
 from bruhatpoly.intervals import (
@@ -31,9 +32,11 @@ from bruhatpoly.polytopes import (
     dimension,
     enumerate_faces,
     f_vector,
+    face_graphs,
     format_partition,
     increasing_cycle_free,
     interval_matroid,
+    is_acyclic,
     is_face,
     is_toric,
     label_partition,
@@ -257,6 +260,71 @@ def test_diameter_is_bfs_over_exactlp_edges(lattices):
 
 def test_f_vector_s6_full_interval():
     assert f_vector(identity(6), longest_element(6)) == (720, 1800, 1560, 540, 62, 1)
+
+
+def _criterion_faces(u, v):
+    """The pairs x <= y of [u, v] whose face graph is acyclic, in (x, y)
+    order, with the dimension of [x, y]."""
+    I = interval(u, v)
+    return [
+        (I.order[i], I.order[j], dimension(I.order[i], I.order[j]))
+        for i, j, G in face_graphs(I, I.pairs()) if is_acyclic(G)
+    ]
+
+
+def test_facet_closure_is_the_criterion_past_s5():
+    """On seeded S_6 and S_7 pairs the facets closed under intersection
+    give exactly the criterion's faces, and the f-vector satisfies Euler's
+    relation."""
+    for u, v in sampled_pairs(6, 40, seed=3) + sampled_pairs(7, 3, seed=3):
+        faces = enumerate_faces(u, v)
+        assert faces == _criterion_faces(u, v), (u, v)
+        f = f_vector(u, v)
+        assert len(f) == dimension(u, v) + 1
+        assert sum((-1) ** i * c for i, c in enumerate(f)) == 1
+
+
+def test_facet_closure_with_values_past_one_byte():
+    """At n = 100 a sum of values can reach a byte's top bit, so the lanes
+    take two bytes: the hexagon on positions 1-3 (values 1, 50, 100) times
+    the segment on positions 4-5 (values 2, 99) is a hexagonal prism."""
+    rest = tuple(a for a in range(1, 101) if a not in (1, 50, 100, 2, 99))
+    u, v = (1, 50, 100, 2, 99, *rest), (100, 50, 1, 99, 2, *rest)
+    assert enumerate_faces(u, v) == _criterion_faces(u, v)
+    assert f_vector(u, v) == (12, 18, 8, 1)
+
+
+def _stirling2(n, k):
+    """Stirling numbers of the second kind, S(n, k), by the recurrence
+    S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    row = [1]  # S(0, 0)
+    for m in range(1, n + 1):
+        row = [0] + [j * (row[j] if j < len(row) else 0) + row[j - 1] for j in range(1, m + 1)]
+    return row[k]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_f_vector_of_the_permutohedron(n):
+    """Q_{e,w0} is the permutohedron, whose k-faces are the ordered set
+    partitions of {1..n} into n - k blocks: f_k = (n-k)! S(n, n-k)."""
+    expected = tuple(factorial(n - k) * _stirling2(n, n - k) for k in range(n))
+    assert f_vector(identity(n), longest_element(n)) == expected
+
+
+def test_f_vector_of_a_cube():
+    """[e, s1 s3 ... s15] in S_16 is boolean of rank 8 with one block per
+    transposition, so its polytope is the 8-cube: f_k = C(8, k) 2^(8-k)."""
+    v = tuple(a - (-1) ** a for a in range(1, 17))
+    assert f_vector(identity(16), v) == tuple(comb(8, k) * 2 ** (8 - k) for k in range(9))
+
+
+def test_face_enumeration_is_bounded(monkeypatch):
+    monkeypatch.setattr(polytopes, "MAX_FACE_ELEMENTS", 5)
+    assert len(enumerate_faces(P("123"), P("231"))) == 9  # a square: 4 elements
+    with pytest.raises(
+        DomainError, match=r"^face enumeration is bounded to 5 elements; the interval has 6$"
+    ):
+        f_vector(identity(3), longest_element(3))
 
 
 def test_face_enumeration_builds_only_its_own_interval():

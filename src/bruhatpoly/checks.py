@@ -213,21 +213,16 @@ def _greatest_descent(w):
 def rpoly_pair(pair):
     u, v = pair
     failures = []
-    ts = inversion_minimal_transpositions(u, v)
-    if not all(rpoly.generalized_r_identity(u, v, t) for t in ts):
-        failures.append(f"{_pair_name(u, v)}: generalized recurrence fails")
-
     r_min = rpoly.r_polynomial(u, v)
+    ts = inversion_minimal_transpositions(u, v)
+    if not all(rpoly.recurrence_terms(u, v, t)[2] == r_min for t in ts):
+        failures.append(f"{_pair_name(u, v)}: generalized recurrence fails")
     r_max = rpoly.r_polynomial(u, v, descent_choice=_greatest_descent)
     if r_min != r_max:
         failures.append(f"{_pair_name(u, v)}: descent-choice dependent")
 
     d = length(v) - length(u)
-    if not (
-        r_min.degree == d
-        and r_min.coeffs[-1] == 1
-        and r_min.coeffs[0] == (-1) ** d
-    ):
+    if not (r_min.degree == d and r_min.coeffs[-1] == 1 and r_min.coeffs[0] == (-1) ** d):
         failures.append(f"{_pair_name(u, v)}: degree/leading/constant invariant fails")
     if rpoly.r_from_tilde(u, v) != r_min:
         failures.append(f"{_pair_name(u, v)}: tilde substitution mismatch")

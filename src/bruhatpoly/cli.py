@@ -156,17 +156,9 @@ def _fmt_pair(t):
 
 def cmd_interval(args, u, v, inputs):
     I = interval(u, v)
-    results = {
-        "size": len(I),
-        "rank": I.rank,
-        "elements": [format_perm(z) for z in I.order],
-        "atoms": [
-            {"element": format_perm(z), "t": _fmt_pair(t)} for z, t in atoms(I)
-        ],
-        "coatoms": [
-            {"element": format_perm(z), "t": _fmt_pair(t)} for z, t in coatoms(I)
-        ],
-    }
+    results = {"size": len(I), "rank": I.rank, "elements": [format_perm(z) for z in I.order]}
+    for key, covers in (("atoms", atoms(I)), ("coatoms", coatoms(I))):
+        results[key] = [{"element": format_perm(z), "t": _fmt_pair(t)} for z, t in covers]
     if args.lift:
         if u == v:
             raise DomainError("generalized lifting needs u < v")

@@ -19,8 +19,11 @@ from .errors import DomainError, NotComparableError
 from .perms import (
     Perm,
     Transposition,
+    _cover_scan,
+    _rank_lanes,
     apply_transposition,
     bruhat_leq,
+    check_perm,
     covers_down,
     covers_up,
     format_perm,
@@ -41,9 +44,10 @@ class BruhatInterval:
     order lists the elements sorted; that is a linear extension of Bruhat
     order, so order[0] = u and order[-1] = v.  up[i] holds (j, t) for each
     cover order[j] = order[i] * t, sorted by j; down[i] holds the labels t
-    of the cocovers of order[i].  above[i] is a bitset with bit j set iff
-    order[i] <= order[j]: inside an interval, Bruhat order is the
-    transitive closure of the covers.  The cache shares it: read-only.
+    of the cocovers order[i] * t, sorted by those.  above[i] is a bitset
+    with bit j set iff order[i] <= order[j]: inside an interval, Bruhat
+    order is the transitive closure of the covers.  The cache shares it:
+    read-only.
     """
 
     __slots__ = ("u", "v", "elements", "order", "up", "down", "above")
@@ -90,35 +94,37 @@ def require_leq(u: Perm, v: Perm) -> None:
 
 @lru_cache(maxsize=1024)
 def interval(u: Perm, v: Perm) -> BruhatInterval:
-    """The cover table of [u, v], from one BFS upward from u pruned by
-    comparison with v.  Every cover inside the interval joins two
-    consecutive BFS layers, so each element's covers are computed once.
+    """The cover table of [u, v], from one BFS upward from u.  Each element x
+    carries its slack code s = (R(v) | TOP) - R(x) (perms._rank_lanes); the
+    cover y = x(i k) with a = x_i < b = x_k adds delta, one in each lane of
+    rows [i, k) and thresholds [a, b), so y <= v iff s - delta keeps every
+    top bit, and only then is y built.  A cover inside the interval joins
+    two consecutive layers, so each element's covers are computed once.
     Elements precede their upper covers in order, so above fills backwards."""
-    require_leq(u, v)
-    ups = {}
-    frontier = [u]
+    require_leq(check_perm(u), check_perm(v))
+    RF, CB, top = _rank_lanes(len(u))
+    R = [sum(RF[p] & CB[a] for p, a in enumerate(w, 1)) for w in (u, v)]
+    ups, frontier = {}, {u: (R[1] | top) - R[0]}
     while frontier:
         found = {}  # the next layer, in the order the BFS finds it
-        for x in frontier:
+        for x, s in frontier.items():
             row = ups[x] = []
-            for y, t in covers_up(x):
-                if y in found or bruhat_leq(y, v):
-                    found[y] = None
+            for t in _cover_scan(x, True):
+                i, k = t
+                a, b = x[i - 1], x[k - 1]
+                sy = s - ((RF[i] ^ RF[k]) & (CB[b] ^ CB[a]))
+                if sy & top == top:
+                    y = apply_transposition(x, t)
+                    found[y] = sy
                     row.append((y, t))
         frontier = found
     order = sorted(ups)
     index = {z: i for i, z in enumerate(order)}
-    below = [[] for _ in order]  # below[j]: the i of each cover order[i] < order[j], ascending
-    down = [[] for _ in order]
-    for i, z in enumerate(order):
-        for y, t in ups[z]:
-            j = index[y]
-            below[j].append(i)
+    up = [sorted([(index[y], t) for y, t in ups[z]]) for z in order]
+    down = [[] for _ in order]  # down[j] fills in the order of its cocovers' i
+    for i, row in enumerate(up):
+        for j, t in row:
             down[j].append(t)
-    up = [[] for _ in order]  # filled with j ascending, so no row needs a sort
-    for j, (row, ts) in enumerate(zip(below, down)):
-        for i, t in zip(row, ts):
-            up[i].append((j, t))
     above = [0] * len(order)
     for i in range(len(order) - 1, -1, -1):
         bits = 1 << i
@@ -137,10 +143,7 @@ def hasse(I: BruhatInterval):
     step up in the lexicographic order, so lower[x] + upper[x] is sorted."""
     order = I.order
     upper = {x: [order[j] for j, _t in row] for x, row in zip(order, I.up)}
-    lower = {z: [] for z in order}
-    for x, ys in upper.items():
-        for y in ys:
-            lower[y].append(x)
+    lower = {z: [apply_transposition(z, t) for t in ts] for z, ts in zip(order, I.down)}
     return lower, upper
 
 

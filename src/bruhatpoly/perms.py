@@ -10,6 +10,7 @@ comma-separated values for n >= 10 ("10,2,3,...").
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 
 from .errors import DomainError
@@ -116,12 +117,12 @@ def is_cover(u: Perm, v: Perm) -> bool:
 
 
 def _cover_scan(w: Perm, up: bool):
-    """The covers of w in one direction, in (i, k) order.  For each i, walk
-    k upward keeping the cap, the nearest value to w_i seen so far on the
-    chosen side of it; (i, k) is a cover iff w_k lies between w_i and the
-    cap, which is exactly when no w_j with i < j < k lies between them."""
+    """The transpositions t = (i, k) of the covers w*t of w in one
+    direction, in (i, k) order.  For each i, walk k upward keeping the cap,
+    the nearest value to w_i seen so far on the chosen side of it; (i, k)
+    is a cover iff w_k lies between w_i and the cap, which is exactly when
+    no w_j with i < j < k lies between them."""
     n = len(w)
-    out = []
     for i in range(n - 1):
         a = w[i]
         cap = n + 1 if up else 0
@@ -129,20 +130,33 @@ def _cover_scan(w: Perm, up: bool):
             b = w[k]
             if (a < b < cap) if up else (cap < b < a):
                 cap = b
-                z = list(w)
-                z[i], z[k] = b, a
-                out.append((tuple(z), (i + 1, k + 1)))
-    return out
+                yield i + 1, k + 1
 
 
 def covers_up(w: Perm):
     """All (w*t, t) with length going up by exactly one."""
-    return _cover_scan(w, True)
+    return [(apply_transposition(w, t), t) for t in _cover_scan(w, True)]
 
 
 def covers_down(w: Perm):
     """All (w*t, t) with length going down by exactly one."""
-    return _cover_scan(w, False)
+    return [(apply_transposition(w, t), t) for t in _cover_scan(w, False)]
+
+
+@lru_cache(maxsize=8)
+def _rank_lanes(n: int):
+    """(RF, CB, TOP) for the rank matrix r_w(p, c) = #{j <= p : w(j) > c},
+    1 <= p <= n and 0 <= c < n, packed into n^2 lanes of one int, each
+    W = (n+1).bit_length() + 1 bits wide: RF[p] is 1 in every lane of rows
+    >= p, CB[c] in every lane of thresholds < c, and TOP is every lane's
+    top bit.  So w has the rank matrix R(w) = sum_p RF[p] & CB[w(p)], and
+    u <= v iff every lane of (R(v) | TOP) - R(u) keeps its top bit."""
+    W = (n + 1).bit_length() + 1
+    ones = lambda m, width=W: ((1 << m * width) - 1) // ((1 << width) - 1)  # m lanes of 1
+    RF = [ones(n * (n - p)) << p * n * W for p in (0, *range(n + 1))]  # RF[0] = RF[1]
+    rows = ones(n, n * W)  # 1 in lane 0 of every row
+    CB = [ones(c) * rows for c in range(n + 1)]
+    return RF, CB, ones(n * n) << W - 1
 
 
 def descents(w: Perm) -> frozenset:

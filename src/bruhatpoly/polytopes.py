@@ -311,36 +311,44 @@ def _facets(I: BruhatInterval):
     return facets
 
 
-def enumerate_faces(u: Perm, v: Perm):
-    """All faces as triples (x, y, dim), sorted by (x, y): the facets closed
-    under intersection.  A face is the subinterval [x, y] of its vertices,
-    so x and y are the lowest and highest bits of its mask, and dim is n
-    minus the blocks of the labels of the covers at x in it."""
-    I = interval(u, v)
+def _faces(I: BruhatInterval):
+    """(mask, dim) for every face of the polytope of I, the facets closed
+    under intersection.  A face is the subinterval [x, y] of its vertices;
+    one of 1, 2 or 4 elements has rank and dim 0, 1 or 2 (a label joins at
+    most two blocks; four vertices span a plane).  Any other face has dim n
+    minus the blocks of the labels of the covers at x in it, memoised."""
     if len(I) > MAX_FACE_ELEMENTS:
         raise DomainError(
             f"face enumeration is bounded to {MAX_FACE_ELEMENTS} elements; the interval has {len(I)}"
         )
-    n, order, up = len(u), I.order, I.up
-    dims, faces = {}, []  # the dimension of [x, y], memoised by its inner labels
-    for F in exactlp.intersections(_facets(I), (1 << len(order)) - 1):
-        i = (F & -F).bit_length() - 1
-        inner = tuple(t for k, t in up[i] if F >> k & 1)
-        if inner not in dims:
-            dims[inner] = n - len(set(_block_reps(n, inner)))
-        faces.append((i, F.bit_length() - 1, dims[inner]))
-    return [(order[i], order[j], d) for i, j, d in sorted(faces)]
+    n, up, dims = len(I.u), I.up, {}
+    for F in exactlp.intersections(_facets(I), (1 << len(I)) - 1):
+        c = F.bit_count()
+        if c > 4:
+            inner = tuple(t for k, t in up[(F & -F).bit_length() - 1] if F >> k & 1)
+            if inner not in dims:
+                dims[inner] = n - len(set(_block_reps(n, inner)))
+        yield F, c // 2 if c <= 4 else dims[inner]
+
+
+def enumerate_faces(u: Perm, v: Perm):
+    """All faces as triples (x, y, dim), sorted by (x, y): the face is the
+    interval [x, y] of its vertices.  f_vector counts the dims unsorted."""
+    I = interval(u, v)
+    faces = sorted(((F & -F).bit_length() - 1, F.bit_length() - 1, d) for F, d in _faces(I))
+    return [(I.order[i], I.order[j], d) for i, j, d in faces]
 
 
 def f_vector_of(faces):
-    """Face counts by dimension, 0 up to the top face's, of a list of
-    (x, y, dim) triples."""
-    counts = Counter(d for _x, _y, d in faces)
+    """Face counts by dimension, 0 up to the top face's, of faces given as
+    tuples ending in their dim: (x, y, dim) triples or (mask, dim) pairs."""
+    counts = Counter(face[-1] for face in faces)
     return tuple(counts[d] for d in range(max(counts) + 1))
 
 
 def f_vector(u: Perm, v: Perm):
-    return f_vector_of(enumerate_faces(u, v))
+    """The f-vector of enumerate_faces, counted from the dims alone."""
+    return f_vector_of(_faces(interval(u, v)))
 
 
 def normal_cone(x: Perm, y: Perm, u: Perm, v: Perm):

@@ -60,23 +60,15 @@ class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
         return len(self.coeffs) - 1
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         terms = []
         for d in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[d]
-            if c == 0:
-                continue
-            if d == 0:
-                body = str(abs(c))
-            else:
-                qpart = "q" if d == 1 else f"q^{d}"
-                body = qpart if abs(c) == 1 else f"{abs(c)}{qpart}"
-            if not terms:
-                terms.append(body if c > 0 else f"-{body}")
-            else:
-                terms.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(terms)
+            if c:
+                q = "" if d == 0 else "q" if d == 1 else f"q^{d}"
+                body = q if abs(c) == 1 and q else f"{abs(c)}{q}"
+                sign = ("- " if c < 0 else "+ ") if terms else ("-" if c < 0 else "")
+                terms.append(sign + body)
+        return " ".join(terms) or "0"
 
 
 ZERO = IntPolynomial()
@@ -205,27 +197,22 @@ def recurrence_counterexample_check() -> dict:
     relations).  For contrast, every inversion-minimal t on (1324, 4231)
     satisfies the identity.
     """
-    u1, v1, t1 = (1, 3, 2, 4), (4, 2, 3, 1), (2, 4)
-    u2, v2, t2 = (1, 2, 4, 3), (4, 3, 1, 2), (2, 4)
+
+    def case(u, v, t):
+        return {
+            "u": u, "v": v, "t": t,
+            "lifting_relations_hold": lifting_relations_hold(u, v, t),
+            "inversion_minimal": is_inversion_minimal(u, v, t),
+        }
+
+    u, v, t = (1, 3, 2, 4), (4, 2, 3, 1), (2, 4)
+    counterexample = case(u, v, t)
+    counterexample["identity_holds"] = r_polynomial(u, v) == recurrence_terms(u, v, t)[2]
     return {
-        "counterexample": {
-            "u": u1,
-            "v": v1,
-            "t": t1,
-            "lifting_relations_hold": lifting_relations_hold(u1, v1, t1),
-            "inversion_minimal": is_inversion_minimal(u1, v1, t1),
-            "identity_holds": r_polynomial(u1, v1) == recurrence_terms(u1, v1, t1)[2],
-        },
-        "converse_failure": {
-            "u": u2,
-            "v": v2,
-            "t": t2,
-            "lifting_relations_hold": lifting_relations_hold(u2, v2, t2),
-            "inversion_minimal": is_inversion_minimal(u2, v2, t2),
-        },
+        "counterexample": counterexample,
+        "converse_failure": case((1, 2, 4, 3), (4, 3, 1, 2), (2, 4)),
         "inversion_minimal_identity_holds": all(
-            generalized_r_identity(u1, v1, t)
-            for t in inversion_minimal_transpositions(u1, v1)
+            generalized_r_identity(u, v, s) for s in inversion_minimal_transpositions(u, v)
         ),
     }
 

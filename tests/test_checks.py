@@ -6,7 +6,7 @@ import pytest
 
 from bruhatpoly import checks, exactlp, parabolic, polytopes
 from bruhatpoly.intervals import BruhatInterval, interval
-from bruhatpoly.perms import all_perms, identity, longest_element, parse_perm
+from bruhatpoly.perms import all_perms, format_perm, identity, longest_element, parse_perm
 
 
 def _lattice_with(monkeypatch, change):
@@ -82,6 +82,26 @@ def test_dimension_pair_sees_a_relabelled_cover(monkeypatch):
     monkeypatch.setattr(checks, "interval", lambda u, v: BruhatInterval(*fields.values()))
     report = checks.dimension_pair((u, v))
     assert report == {"chains": 2, "failures": ["[1234,2143]: chain partition is chain-dependent"]}
+
+
+@pytest.mark.parametrize("u, v, sigma", [("1234", "2143", "1324"), ("12345", "21543", "23451")])
+def test_dimension_pair_sees_every_chain_reach_another_partition(
+    monkeypatch, maximal_chains, u, v, sigma
+):
+    # every cover label (a, b) read as (sigma(a), sigma(b)): the chains still
+    # agree with each other, on sigma of the atoms' partition, which differs
+    u, v, sigma = parse_perm(u), parse_perm(v), parse_perm(sigma)
+    real = interval(u, v)
+    fields = {name: getattr(real, name) for name in BruhatInterval.__slots__}
+    fields["up"] = tuple(
+        tuple((k, tuple(sorted((sigma[a - 1], sigma[b - 1])))) for k, (a, b) in row)
+        for row in real.up
+    )
+    monkeypatch.setattr(checks, "interval", lambda u, v: BruhatInterval(*fields.values()))
+    report = checks.dimension_pair((u, v))
+    name = f"[{format_perm(u)},{format_perm(v)}]"
+    assert report["failures"] == [f"{name}: chain partition is chain-dependent"]
+    assert report["chains"] == len(maximal_chains(u, v)) > 1
 
 
 @pytest.mark.parametrize("n, step", [(4, 1), (5, 25)])

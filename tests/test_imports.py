@@ -1,7 +1,8 @@
 """Every module of the package reads each name it imports, in the scope
 the import binds it in; every public top-level function and class is read
-somewhere beyond its own definition; and importing the package and its CLI
-loads no module that only a process pool or a dataclass needs.
+somewhere beyond its own definition; importing the package and its CLI
+loads no module that only a process pool or a dataclass needs; and src/
+stays within its line ceiling.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules.
 __init__.py is left out of the first: its imports are the package's public
@@ -21,6 +22,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bruhatpoly"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the most lines src/bruhatpoly/*.py may hold together, as wc -l counts them
+LINE_CEILING = 2511
 # where a public name of the package may be read: the package itself, the
 # demos, and the benchmark, which calls workers by their names in strings
 READERS = sorted([*SRC.glob("*.py"), *ROOT.glob("demos/*.py"), *ROOT.glob("bench/*.py")])
@@ -177,3 +180,9 @@ def test_import_loads_no_pool_or_dataclasses():
     ).stdout.split()
     assert "bruhatpoly.cli" in added
     assert not {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"} & set(added)
+
+
+def test_src_stays_within_its_line_ceiling():
+    lines = {p.name: p.read_bytes().count(b"\n") for p in SRC.glob("*.py")}
+    assert "__init__.py" in lines
+    assert sum(lines.values()) <= LINE_CEILING, sorted(lines.items())

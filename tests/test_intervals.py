@@ -1,6 +1,9 @@
+import signal
+
 import pytest
 
 from bruhatpoly import checks
+from bruhatpoly.checks import comparable_pairs, sampled_pairs
 from bruhatpoly.errors import DomainError, NotComparableError
 from bruhatpoly.intervals import (
     atom_transpositions,
@@ -19,12 +22,19 @@ from bruhatpoly.perms import (
     all_perms,
     apply_transposition,
     bruhat_leq,
+    covers_up,
     identity,
     is_cover,
     length,
     longest_element,
 )
-from bruhatpoly.polytopes import bip_inequalities, interval_matroid
+from bruhatpoly.polytopes import (
+    bip_inequalities,
+    enumerate_faces,
+    f_vector,
+    f_vector_of,
+    interval_matroid,
+)
 from bruhatpoly.rpoly import (
     MatchingObstruction,
     extend_to_special_matching,
@@ -189,3 +199,81 @@ def test_shared_results_refuse_assignment():
                 setattr(obj, field, None)
     assert len(I) == len(I.order) == 14
     assert interval(u, v) is I and I.v == v
+
+
+def _reference_table(u, v):
+    """(order, up, down, above) of [u, v] from covers_up and bruhat_leq
+    alone: a BFS up from u through the covers that stay below v, and
+    above[i] from bruhat_leq on every pair."""
+    ups, frontier = {}, [u]
+    while frontier:
+        for x in frontier:
+            ups[x] = [(y, t) for y, t in covers_up(x) if bruhat_leq(y, v)]
+        frontier = sorted({y for x in frontier for y, _t in ups[x]} - ups.keys())
+    order = sorted(ups)
+    index = {z: i for i, z in enumerate(order)}
+    up = tuple(tuple(sorted((index[y], t) for y, t in ups[z])) for z in order)
+    down = [[] for _ in order]
+    for z in order:
+        for y, t in ups[z]:
+            down[index[y]].append(t)
+    above = tuple(
+        sum(1 << j for j, y in enumerate(order) if bruhat_leq(x, y)) for x in order
+    )
+    return tuple(order), up, tuple(map(tuple, down)), above
+
+
+# [e, s1 s3 ... s15] in S_16, the 8-cube; and at n = 100 a hexagonal prism
+# whose rank-matrix lanes take 8 bits
+_CUBE = (tuple(range(1, 17)), tuple(a - (-1) ** a for a in range(1, 17)))
+_REST = tuple(a for a in range(1, 101) if a not in (1, 50, 100, 2, 99))
+_PRISM = ((1, 50, 100, 2, 99, *_REST), (100, 50, 1, 99, 2, *_REST))
+_TABLE_PAIRS = [
+    *((u, u) for u in all_perms(4)),
+    *comparable_pairs(4),
+    *sampled_pairs(5, 60, seed=11),
+    *sampled_pairs(6, 12, seed=11),
+    _CUBE,
+    _PRISM,
+]
+
+
+def test_packed_bfs_is_the_reference_table():
+    """On every pair u <= v of S_4, seeded S_5 and S_6 pairs, the 8-cube in
+    S_16 and the n = 100 prism, the BFS on packed rank matrices builds the
+    table of a BFS that compares every cover with v by bruhat_leq."""
+    for u, v in _TABLE_PAIRS:
+        I = interval(u, v)
+        assert (I.order, I.up, I.down, I.above) == _reference_table(u, v), (u, v)
+        assert I.elements == frozenset(I.order)
+
+
+def test_counted_f_vector_is_the_enumerated_one():
+    for u, v in _TABLE_PAIRS:
+        assert f_vector(u, v) == f_vector_of(enumerate_faces(u, v)), (u, v)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError
+
+
+@pytest.mark.parametrize("u, v", [
+    # values 2..17: every y passes bruhat_leq(y, v), so an unchecked BFS walks S_16
+    (tuple(range(1, 17)), tuple(a - (-1) ** a + 1 for a in range(1, 17))),
+    ((1, 2, 3), (3, 3, 1)),
+    ((0, 1, 2), (2, 1, 0)),
+])
+def test_interval_rejects_non_permutations(u, v):
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        interval(u, v)
+        outcome = "returned a table"
+    except DomainError as exc:
+        outcome = str(exc)
+    except TimeoutError:
+        outcome = "still running after a second"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert outcome.startswith("not a permutation of 1.."), outcome

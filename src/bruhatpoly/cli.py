@@ -13,6 +13,9 @@ reproducible.
 
 Exit codes: 0 success, 2 usage error, 3 domain error, 4 property-suite
 failure.
+
+Each subcommand imports the modules it runs when it runs, so importing this
+module loads only errors and perms of the package.
 """
 
 from __future__ import annotations
@@ -23,21 +26,14 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii
 
-from . import checks, parabolic, polytopes, rpoly
 from .errors import DomainError
-from .intervals import (
-    atoms,
-    coatoms,
-    generalized_lift,
-    interval,
-    minimality_violation,
-    require_leq,
-)
 from .perms import format_perm, parse_perm
 
 EXIT_OK = 0
 EXIT_DOMAIN = 3
 EXIT_SUITE_FAILED = 4
+# checks.SUITES, spelled out so that parsing a command does not load checks
+SUITES = ("lifting", "dimension", "faces", "rpoly", "parabolic", "all")
 
 
 def _parse_transposition(text, n):
@@ -60,14 +56,13 @@ def _int_at_least(low):
     return integer
 
 
-def _parse_J(text, n):
+def _parse_J(text):
     if text == "":
         return ()
     try:
-        J = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise DomainError(f"cannot parse J={text!r}; expected comma-separated indices")
-    return parabolic.check_subset(n, J)
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +145,13 @@ def _fmt_pair(t):
 
 # ---------------------------------------------------------------------------
 # subcommands: each takes the parsed pair and the document's inputs and
-# returns its results
+# returns its results, and imports only the modules it runs
 # ---------------------------------------------------------------------------
 
 
 def cmd_interval(args, u, v, inputs):
+    from .intervals import atoms, coatoms, generalized_lift, interval
+
     I = interval(u, v)
     results = {"size": len(I), "rank": I.rank, "elements": [format_perm(z) for z in I.order]}
     for key, covers in (("atoms", atoms(I)), ("coatoms", coatoms(I))):
@@ -172,6 +169,8 @@ def cmd_interval(args, u, v, inputs):
 
 
 def cmd_polytope(args, u, v, inputs):
+    from . import polytopes
+
     results = {}
     if args.dim:
         results["dimension"] = polytopes.dimension(u, v)
@@ -206,6 +205,9 @@ def cmd_polytope(args, u, v, inputs):
 
 
 def cmd_rpoly(args, u, v, inputs):
+    from . import rpoly
+    from .intervals import minimality_violation, require_leq
+
     r = rpoly.r_polynomial(u, v)
     results = {"r": str(r), "coefficients": list(r.coeffs)}
     if args.tilde:
@@ -234,7 +236,9 @@ def cmd_rpoly(args, u, v, inputs):
 
 
 def cmd_parabolic(args, u, v, inputs):
-    J = _parse_J(args.J, len(u))
+    from . import parabolic
+
+    J = parabolic.check_subset(len(u), _parse_J(args.J))
     inputs["J"] = list(J)
     results = {"J": list(J)}
     if args.faces_check:
@@ -298,7 +302,7 @@ def build_parser():
     p.add_argument("--tilde", action="store_true")
 
     p = sub.add_parser("check", parents=[flags], help="run a property suite")
-    p.add_argument("suite", choices=checks.SUITES)
+    p.add_argument("suite", choices=SUITES)
     # S_1 has no pair u < v, so every suite would pass vacuously
     p.add_argument("--n", type=_int_at_least(2), default=4)
     p.add_argument("--sample", type=_int_at_least(1), default=None)
@@ -324,6 +328,8 @@ def main(argv=None) -> int:
     )
     try:
         if args.command == "check":
+            from . import checks
+
             inputs = {"suite": args.suite, "n": args.n, "sample": args.sample, "seed": args.seed}
             results = checks.run_suite(args.suite, args.n, args.sample, args.seed, args.jobs)
         else:

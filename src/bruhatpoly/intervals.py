@@ -92,6 +92,9 @@ def require_leq(u: Perm, v: Perm) -> None:
         raise NotComparableError(f"{format_perm(u)} is not <= {format_perm(v)} in Bruhat order")
 
 
+MAX_INTERVAL_ELEMENTS = 40320  # S_8 [e, w0]; the bitsets of S_9's 362,880 would take 16 GB
+
+
 @lru_cache(maxsize=1024)
 def interval(u: Perm, v: Perm) -> BruhatInterval:
     """The cover table of [u, v], from one BFS upward from u.  Each element x
@@ -100,7 +103,9 @@ def interval(u: Perm, v: Perm) -> BruhatInterval:
     rows [i, k) and thresholds [a, b), so y <= v iff s - delta keeps every
     top bit, and only then is y built.  A cover inside the interval joins
     two consecutive layers, so each element's covers are computed once.
-    Elements precede their upper covers in order, so above fills backwards."""
+    Elements precede their upper covers in order, so above fills backwards.
+    Raises DomainError as soon as the layers found hold more than
+    MAX_INTERVAL_ELEMENTS elements."""
     require_leq(check_perm(u), check_perm(v))
     RF, CB, top = _rank_lanes(len(u))
     R = [sum(RF[p] & CB[a] for p, a in enumerate(w, 1)) for w in (u, v)]
@@ -118,6 +123,12 @@ def interval(u: Perm, v: Perm) -> BruhatInterval:
                     found[y] = sy
                     row.append((y, t))
         frontier = found
+        if len(ups) + len(found) > MAX_INTERVAL_ELEMENTS:
+            raise DomainError(
+                f"[{format_perm(u)}, {format_perm(v)}] has more than "
+                f"{MAX_INTERVAL_ELEMENTS} elements: {len(ups) + len(found)} in its "
+                f"lowest layers"
+            )
     order = sorted(ups)
     index = {z: i for i, z in enumerate(order)}
     up = [sorted([(index[y], t) for y, t in ups[z]]) for z in order]

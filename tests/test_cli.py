@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from bruhatpoly import checks, polytopes
+from bruhatpoly import checks, cli, polytopes
 from bruhatpoly.cli import _write_json, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +146,39 @@ def test_polytope_faces_past_the_bound_is_domain_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "polytope", "123", "321", "--faces")
     assert (code, out) == (3, "")
     assert err == "domain error: face enumeration is bounded to 5 elements; the interval has 6\n"
+
+
+# a child process under this address-space limit, in which an unbounded
+# interval BFS at n = 9 ends in a MemoryError after about 16 s
+CHILD_LIMIT = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from bruhatpoly.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ("interval", "123456789", "987654321"),
+    ("interval", "123456789", "987654321", "--lift"),
+    ("polytope", "123456789", "987654321", "--ineq"),
+])
+def test_interval_past_the_bound_is_domain_error(argv):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD_LIMIT, *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "domain error: [123456789, 987654321] has more than 40320 elements: "
+        "47087 in its lowest layers\n"
+    )
+
+
+def test_check_suites_are_the_checks_suites():
+    assert cli.SUITES == checks.SUITES
 
 
 def test_rpoly_golden(capsys):

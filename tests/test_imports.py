@@ -1,8 +1,10 @@
 """Every module of the package reads each name it imports, in the scope
 the import binds it in; every public top-level function and class is read
 somewhere beyond its own definition; importing the package and its CLI
-loads no module that only a process pool or a dataclass needs; and src/
-stays within its line ceiling.
+loads no module that only a process pool or a dataclass needs, and of the
+package only cli, errors and perms; each subcommand loads only the modules
+it runs; every public name of the package resolves lazily to the object
+its module defines; and src/ stays within its line ceiling.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules.
 __init__.py is left out of the first: its imports are the package's public
@@ -163,23 +165,104 @@ def test_orphan_name_is_caught():
     assert orphans(sources) == ["a.orphan"]
 
 
-def test_import_loads_no_pool_or_dataclasses():
-    # the modules the import adds, so that whatever the interpreter's site
-    # hooks load beforehand does not count
+def _modules_added(*argv):
+    """The modules a fresh process adds by importing bruhatpoly and its CLI
+    and then, if argv is given, running the command argv in-process (it must
+    exit 0).  Whatever the interpreter's site hooks load beforehand does not
+    count."""
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
         "import bruhatpoly, bruhatpoly.cli\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert bruhatpoly.cli.main(sys.argv[1:]) == 0\n"
         "print(*sorted(set(sys.modules) - before))\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    added = subprocess.run(
-        [sys.executable, "-c", code],
+    return set(subprocess.run(
+        [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, check=True, timeout=60,
         env={**os.environ, "PYTHONPATH": path},
-    ).stdout.split()
+    ).stdout.split())
+
+
+def test_import_loads_no_pool_or_dataclasses():
+    added = _modules_added()
     assert "bruhatpoly.cli" in added
-    assert not {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"} & set(added)
+    assert not {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"} & added
+
+
+def test_import_loads_only_cli_errors_and_perms():
+    added = {m for m in _modules_added() if m.split(".")[0] == "bruhatpoly"}
+    assert added == {"bruhatpoly", "bruhatpoly.cli", "bruhatpoly.errors", "bruhatpoly.perms"}
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (("interval", "12345", "54321", "--lift"), {"polytopes", "rpoly", "parabolic", "checks", "exactlp"}),
+        (("rpoly", "12345", "54321", "--tilde"), {"polytopes", "parabolic", "checks", "exactlp"}),
+        (("polytope", "12345", "54321", "--dim"), {"rpoly", "parabolic", "checks"}),
+    ],
+    ids=["interval", "rpoly", "polytope"],
+)
+def test_subcommand_loads_only_its_modules(argv, unloaded):
+    added = _modules_added(*argv)
+    assert "bruhatpoly.intervals" in added  # the command ran
+    assert not {f"bruhatpoly.{m}" for m in unloaded} & added
+
+
+# every name the package exported when __init__.py imported its modules eagerly
+EXPORTED = {
+    "errors": ["DomainError", "NotComparableError"],
+    "intervals": [
+        "BruhatInterval", "atoms", "chain_via_atoms", "chain_via_coatoms", "coatoms",
+        "generalized_lift", "interval", "inversion_minimal_transpositions",
+    ],
+    "parabolic": [
+        "min_coset_rep", "parabolic_bip_vertices", "parabolic_faces_check", "weight_point",
+    ],
+    "perms": [
+        "bruhat_leq", "compose", "descents", "format_perm", "identity", "inverse",
+        "is_cover", "length", "longest_element", "parse_perm",
+    ],
+    "polytopes": [
+        "bip_inequalities", "block_partition", "crown_type", "diameter", "dimension",
+        "enumerate_faces", "f_vector", "interval_matroid", "is_face", "is_toric",
+        "minkowski_check", "normal_cone", "vertices",
+    ],
+    "rpoly": [
+        "IntPolynomial", "extend_to_special_matching", "find_special_matchings",
+        "generalized_r_identity", "is_special_matching", "multiplication_matching",
+        "r_polynomial", "r_tilde", "recurrence_counterexample_check",
+        "special_matching_r_identity",
+    ],
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTED))
+def test_lazy_names_are_the_module_objects(module):
+    import importlib
+
+    import bruhatpoly
+
+    mod = importlib.import_module(f"bruhatpoly.{module}")
+    for name in EXPORTED[module]:
+        assert getattr(bruhatpoly, name) is getattr(mod, name), name
+        assert name in dir(bruhatpoly) and name in bruhatpoly.__all__
+
+
+def test_lazy_namespace_has_only_these_names_and_its_submodules():
+    import bruhatpoly
+
+    assert sorted(bruhatpoly.__all__) == sorted(n for names in EXPORTED.values() for n in names)
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        bruhatpoly.nosuch
+    from bruhatpoly import checks
+
+    assert checks.__name__ == "bruhatpoly.checks" and callable(checks.run_suite)
+    assert bruhatpoly.checks is checks
 
 
 def test_src_stays_within_its_line_ceiling():

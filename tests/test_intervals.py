@@ -2,7 +2,7 @@ import signal
 
 import pytest
 
-from bruhatpoly import checks
+from bruhatpoly import checks, intervals
 from bruhatpoly.checks import comparable_pairs, sampled_pairs
 from bruhatpoly.errors import DomainError, NotComparableError
 from bruhatpoly.intervals import (
@@ -277,3 +277,14 @@ def test_interval_rejects_non_permutations(u, v):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert outcome.startswith("not a permutation of 1.."), outcome
+
+
+def test_interval_bound_counts_the_bfs_layers(monkeypatch):
+    # S_4 [e, w0] has 24 elements; the cache is bypassed so the BFS runs
+    build = interval.__wrapped__
+    monkeypatch.setattr(intervals, "MAX_INTERVAL_ELEMENTS", 24)
+    assert len(build(identity(4), longest_element(4))) == 24
+    monkeypatch.setattr(intervals, "MAX_INTERVAL_ELEMENTS", 23)
+    # its layers hold 1, 3, 5, 6, 5, 3 and 1 elements: the last takes the count past 23
+    with pytest.raises(DomainError, match=r"^\[1234, 4321\] has more than 23 elements: 24 in"):
+        build(identity(4), longest_element(4))

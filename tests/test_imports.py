@@ -12,6 +12,7 @@ names.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -20,6 +21,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import bruhatpoly
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bruhatpoly"
@@ -243,10 +246,6 @@ EXPORTED = {
 
 @pytest.mark.parametrize("module", sorted(EXPORTED))
 def test_lazy_names_are_the_module_objects(module):
-    import importlib
-
-    import bruhatpoly
-
     mod = importlib.import_module(f"bruhatpoly.{module}")
     for name in EXPORTED[module]:
         assert getattr(bruhatpoly, name) is getattr(mod, name), name
@@ -254,8 +253,6 @@ def test_lazy_names_are_the_module_objects(module):
 
 
 def test_lazy_namespace_has_only_these_names_and_its_submodules():
-    import bruhatpoly
-
     assert sorted(bruhatpoly.__all__) == sorted(n for names in EXPORTED.values() for n in names)
     with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
         bruhatpoly.nosuch

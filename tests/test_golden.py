@@ -36,7 +36,7 @@ CHECKS = [
 ] + [
     ["check", suite, "--n", "5", "--sample", "30"]
     for suite in ("lifting", "dimension", "faces", "rpoly", "all")
-]
+] + [["check", "all", "--n", "4"], ["check", "parabolic", "--n", "4"]]
 
 
 def _leq(u, v):

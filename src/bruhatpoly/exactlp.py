@@ -139,16 +139,13 @@ def _facets(points):
 
 
 def face_lattice(V):
-    """Every face of conv(V), as the frozenset of the points of V on it:
-    the facets closed under intersection, plus V itself."""
+    """The sorted distinct points of V, and every face of conv(V) as the
+    bitmask of its points over them: the facets closed under intersection."""
     dim = _check_points(V)
     if len(V) > MAX_POINTS or dim > MAX_DIM:
         raise DomainError(f"scale guard exceeded: {len(V)} points in dimension {dim}")
     uniq, facets = _facets(V)
-    return {
-        frozenset(p for i, p in enumerate(uniq) if m >> i & 1)
-        for m in intersections(facets, (1 << len(uniq)) - 1)
-    }
+    return uniq, intersections(facets, (1 << len(uniq)) - 1)
 
 
 def intersections(facets, full):
@@ -168,16 +165,19 @@ def is_face(S, V) -> bool:
         raise DomainError("empty face candidate")
     if not sset <= set(map(tuple, V)):
         raise DomainError("face candidate is not a subset of the point set")
-    return sset in face_lattice(V)
+    uniq, faces = face_lattice(V)
+    return sum(1 << k for k, p in enumerate(uniq) if p in sset) in faces
 
 
 def face_vertices(w, V):
-    """The argmax subset of V under the functional w (the face it exposes)."""
+    """The argmax of V under the functional w (the face it exposes), as a
+    bitmask over V."""
     vals = [sum(map(mul, w, p)) for p in V]
     best = max(vals)
-    return [p for p, x in zip(V, vals) if x == best]
+    return sum(1 << k for k, x in enumerate(vals) if x == best)
 
 
 def extreme_points(points):
     """The extreme points, sorted: the points that are faces by themselves."""
-    return sorted(p for F in face_lattice(points) if len(F) == 1 for p in F)
+    uniq, faces = face_lattice(points)
+    return [p for k, p in enumerate(uniq) if 1 << k in faces]

@@ -80,10 +80,10 @@ class BruhatInterval:
             for j in _bits(bits):
                 yield i, j
 
-    def between(self, i: int, j: int):
-        """The indices of the subinterval [order[i], order[j]], ascending."""
+    def between(self, i: int, j: int) -> int:
+        """The subinterval [order[i], order[j]] as a bitmask over order."""
         above = self.above
-        return [k for k in _bits(above[i]) if above[k] >> j & 1]
+        return sum(1 << k for k in _bits(above[i]) if above[k] >> j & 1)
 
 
 def require_leq(u: Perm, v: Perm) -> None:
@@ -104,8 +104,8 @@ def interval(u: Perm, v: Perm) -> BruhatInterval:
     top bit, and only then is y built.  A cover inside the interval joins
     two consecutive layers, so each element's covers are computed once.
     Elements precede their upper covers in order, so above fills backwards.
-    Raises DomainError as soon as the layers found hold more than
-    MAX_INTERVAL_ELEMENTS elements."""
+    Raises DomainError as soon as the elements found number more than
+    MAX_INTERVAL_ELEMENTS."""
     require_leq(check_perm(u), check_perm(v))
     RF, CB, top = _rank_lanes(len(u))
     R = [sum(RF[p] & CB[a] for p, a in enumerate(w, 1)) for w in (u, v)]
@@ -122,13 +122,12 @@ def interval(u: Perm, v: Perm) -> BruhatInterval:
                     y = apply_transposition(x, t)
                     found[y] = sy
                     row.append((y, t))
+            if len(ups) + len(found) > MAX_INTERVAL_ELEMENTS:
+                raise DomainError(
+                    f"[{format_perm(u)}, {format_perm(v)}] has more than "
+                    f"{MAX_INTERVAL_ELEMENTS} elements: {len(ups) + len(found)} found"
+                )
         frontier = found
-        if len(ups) + len(found) > MAX_INTERVAL_ELEMENTS:
-            raise DomainError(
-                f"[{format_perm(u)}, {format_perm(v)}] has more than "
-                f"{MAX_INTERVAL_ELEMENTS} elements: {len(ups) + len(found)} in its "
-                f"lowest layers"
-            )
     order = sorted(ups)
     index = {z: i for i, z in enumerate(order)}
     up = [sorted([(index[y], t) for y, t in ups[z]]) for z in order]

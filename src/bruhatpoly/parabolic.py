@@ -9,8 +9,9 @@ obtained by cutting after each j in J.  The weight point of z is
            {z(1), ..., z(j)},
 
 an integer vector constant exactly on the cosets z W_J.  The polytope is
-the hull of {p(z) : u <= z <= v}, with v required to be the minimal-length
-representative of its coset.
+the hull of {p(z) : u <= z <= v}, with v minimal in its coset.  For
+J = {1..n-1}, p(z)_a = n - z^{-1}(a), so the hull is affinely the polytope
+of [u^{-1}, v^{-1}], not that of [u, v].
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import Counter
 
 from . import exactlp
 from .errors import DomainError
-from .intervals import interval, require_leq
+from .intervals import _bits, interval, require_leq
 from .perms import Perm, format_perm, identity
 
 
@@ -96,7 +97,7 @@ def _is_interval_set(F, T, pts) -> bool:
     pre = [k for k, p in enumerate(pts) if p in F]
     y = max({pts[k]: k for k in reversed(pre)}.values())
     return any(
-        {pts[k] for k in T.between(x, y)} == F for x in pre if T.above[x] >> y & 1
+        {pts[k] for k in _bits(T.between(x, y))} == F for x in pre if T.above[x] >> y & 1
     )
 
 
@@ -118,22 +119,23 @@ def parabolic_faces_check(u: Perm, v: Perm, J) -> dict:
     # representative is below v, y among them, and x <= y; K indexes [u, v]
     T = interval(identity(n), v)
     pts = [_weight_point(z, J) for z in T.order]
-    K = T.between(T.order.index(u), len(T) - 1)
-    V = sorted({pts[k] for k in K})
-    faces = exactlp.face_lattice(V)
-    violations = sorted(sorted(F) for F in faces if not _is_interval_set(F, T, pts))
+    K = list(_bits(T.between(T.order.index(u), len(T) - 1)))
+    V, faces = exactlp.face_lattice(list({pts[k] for k in K}))
+    point_sets = [[V[k] for k in _bits(F)] for F in faces]  # each sorted, as V is
+    violations = sorted(P for P in point_sets if not _is_interval_set(set(P), T, pts))
 
     cosets = {min_coset_rep(T.order[k], J) for k in K}
-    zero_cells_match_cosets = sum(len(F) == 1 for F in faces) == len(V) == len(cosets)
+    zero_cells_match_cosets = sum(F.bit_count() == 1 for F in faces) == len(V) == len(cosets)
 
-    cover_sets = {frozenset((pts[i], pts[j])) for i in K for j, _t in T.up[i]}
-    edges_ok = all(F in cover_sets for F in faces if len(F) == 2)
+    index = {p: k for k, p in enumerate(V)}
+    cover_masks = {1 << index[pts[i]] | 1 << index[pts[j]] for i in K for j, _t in T.up[i]}
+    edges_ok = all(F in cover_masks for F in faces if F.bit_count() == 2)
 
     # the lattice is graded by dimension: a point has dimension 0, and any
     # other face one more than the largest face strictly inside it
     dims = {}
-    for F in sorted(faces, key=len):
-        dims[F] = max((d + 1 for G, d in dims.items() if G < F), default=0)
+    for F in sorted(faces, key=int.bit_count):
+        dims[F] = max((d + 1 for G, d in dims.items() if G | F == F), default=0)
 
     return {
         "u": u,

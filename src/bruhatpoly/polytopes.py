@@ -140,10 +140,9 @@ class PolytopeDescription(namedtuple("PolytopeDescription", "vertices equalities
             sum_{i in A} (n - w^{-1}(i))  =  sum_k |A ∩ {w(1), ..., w(k)}|,
 
         which is at most sum_k r_{M_k}(A) exactly when every initial value
-        set of w is a basis of the corresponding interval matroid.  (Read
-        directly on the vector w the displayed system would contradict its
-        own equality line; this coordinatization is the one in which the
-        description is exact.)
+        set of w is a basis of the corresponding interval matroid.  So the
+        bounds describe conv{y(z) : z in [u, v]}, y_i = n - z^{-1}(i), which
+        is affinely the polytope of [u^{-1}, v^{-1}], not that of [u, v].
         """
         n = len(w)
         y = [0] * (n + 1)

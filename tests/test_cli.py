@@ -149,7 +149,8 @@ def test_polytope_faces_past_the_bound_is_domain_error(capsys, monkeypatch):
 
 
 # a child process under this address-space limit, in which an unbounded
-# interval BFS at n = 9 ends in a MemoryError after about 16 s
+# interval BFS at n = 9 ends in a MemoryError after about 16 s, and one
+# bounded only after each whole layer does at n = 60 after about 8 s
 CHILD_LIMIT = (
     "import resource, sys\n"
     "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -158,10 +159,17 @@ CHILD_LIMIT = (
 )
 
 
+E60, W60 = ",".join(map(str, range(1, 61))), ",".join(map(str, range(60, 0, -1)))
+# the elements the BFS holds when it refuses [e, w0]: it checks the bound
+# after each element's covers, so one wide layer of S_60 never fills memory
+FOUND = {"123456789": 40321, E60: 40352}
+
+
 @pytest.mark.parametrize("argv", [
     ("interval", "123456789", "987654321"),
     ("interval", "123456789", "987654321", "--lift"),
     ("polytope", "123456789", "987654321", "--ineq"),
+    ("interval", E60, W60),
 ])
 def test_interval_past_the_bound_is_domain_error(argv):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -172,8 +180,8 @@ def test_interval_past_the_bound_is_domain_error(argv):
     )
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == (
-        "domain error: [123456789, 987654321] has more than 40320 elements: "
-        "47087 in its lowest layers\n"
+        f"domain error: [{argv[1]}, {argv[2]}] has more than 40320 elements: "
+        f"{FOUND[argv[1]]} found\n"
     )
 
 

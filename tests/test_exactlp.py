@@ -92,8 +92,9 @@ def test_extreme_points_drops_interior():
 
 
 def test_face_vertices_argmax():
-    assert face_vertices((1, 0), SQUARE) == [(1, 0), (1, 1)]
-    assert face_vertices((0, 0), SQUARE) == SQUARE
+    # a bitmask over SQUARE: (1, 0) and (1, 1) are its points 2 and 3
+    assert face_vertices((1, 0), SQUARE) == 0b1100
+    assert face_vertices((0, 0), SQUARE) == 0b1111
 
 
 def test_face_witness_consistency():
@@ -103,7 +104,7 @@ def test_face_witness_consistency():
     pts = sorted(all_perms(3))
     for w in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (1, 2, 3)]:
         S = face_vertices(w, pts)
-        assert is_face(S, pts)
+        assert is_face([p for k, p in enumerate(pts) if S >> k & 1], pts)
 
 
 def test_scale_guard_is_on_the_lp_only():
@@ -150,7 +151,13 @@ def test_fraction_triangle():
     assert affine_rank(V) == 2
     assert is_face([(0, 0), (half, 0)], V)
     assert is_face([(0, 0), (1, 0)], [(0, 0), (1, 0), (1, 1)])
-    assert len(face_lattice(V)) == 7
+    assert len(face_lattice(V)[1]) == 7
+
+
+def _point_sets(V):
+    """The faces of face_lattice(V) as frozensets of points."""
+    uniq, masks = face_lattice(V)
+    return {frozenset(p for k, p in enumerate(uniq) if F >> k & 1) for F in masks}
 
 
 def _by_dim(faces):
@@ -161,7 +168,7 @@ CUBE = list(product((0, 1), repeat=3))
 
 
 def test_cube_face_lattice():
-    faces = face_lattice(CUBE)
+    faces = _point_sets(CUBE)
     assert len(faces) == 27
     assert _by_dim(faces) == {0: 8, 1: 12, 2: 6, 3: 1}
     assert all(is_face(sorted(F), CUBE) for F in faces)
@@ -189,14 +196,14 @@ def test_double_description_keeps_only_facets():
 def test_fraction_cube_has_the_same_lattice():
     third = Fraction(1, 3)
     scaled = {p: tuple(third * x + 1 for x in p) for p in CUBE}
-    faces = face_lattice(list(scaled.values()))
-    assert faces == {frozenset(scaled[p] for p in F) for F in face_lattice(CUBE)}
+    faces = _point_sets(list(scaled.values()))
+    assert faces == {frozenset(scaled[p] for p in F) for F in _point_sets(CUBE)}
 
 
 def test_square_with_interior_point():
     V = SQUARE + [(Fraction(1, 2), Fraction(1, 2))]
-    faces = face_lattice(V)
-    assert faces == face_lattice(SQUARE) - {frozenset(SQUARE)} | {frozenset(V)}
+    faces = _point_sets(V)
+    assert faces == _point_sets(SQUARE) - {frozenset(SQUARE)} | {frozenset(V)}
     assert _by_dim(faces) == {0: 4, 1: 4, 2: 1}
     assert not is_face([V[-1]], V)
     assert extreme_points(V) == SQUARE
@@ -204,7 +211,7 @@ def test_square_with_interior_point():
 
 def test_collinear_points():
     V = [(0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)]
-    assert face_lattice(V) == {
+    assert _point_sets(V) == {
         frozenset([V[0]]), frozenset([V[-1]]), frozenset(V)
     }
     assert extreme_points(V) == [V[0], V[-1]]
@@ -225,15 +232,14 @@ def test_square_embedded_in_r4():
         a, b = p
         return (a + b, 2 * a - b + 1, 3, a - 4 * b)
 
-    faces = face_lattice([lift(p) for p in SQUARE])
-    assert faces == {frozenset(map(lift, F)) for F in face_lattice(SQUARE)}
+    faces = _point_sets([lift(p) for p in SQUARE])
+    assert faces == {frozenset(map(lift, F)) for F in _point_sets(SQUARE)}
     assert _by_dim(faces) == {0: 4, 1: 4, 2: 1}
 
 
 def test_single_point():
     p = (1, Fraction(2, 3), 3)
-    assert face_lattice([p]) == {frozenset([p])}
-    assert face_lattice([p, p]) == {frozenset([p])}
+    assert face_lattice([p]) == face_lattice([p, p]) == ([p], {1})
     assert is_face([p], [p])
     assert extreme_points([p]) == [p]
     assert extreme_points([p, p]) == [p]

@@ -139,7 +139,7 @@ def test_all_maximal_chains_count(maximal_chains):
 
 def test_table_above_bits_are_bruhat_order_on_s5():
     """The "above" bitsets of [e, w0] in S_5 equal bruhat_leq on all 14,400
-    ordered pairs, and between(i, j) lists the sandwich of the pair."""
+    ordered pairs, and between(i, j) is the bitmask of the sandwich of the pair."""
     I = interval(identity(5), longest_element(5))
     order = I.order
     assert len(order) == 120 and list(order) == sorted(order)
@@ -152,7 +152,8 @@ def test_table_above_bits_are_bruhat_order_on_s5():
     assert mismatches == []
     x, y = order[3], order[100]
     assert bruhat_leq(x, y)
-    assert [order[k] for k in I.between(3, 100)] == [
+    S = I.between(3, 100)
+    assert [z for k, z in enumerate(order) if S >> k & 1] == [
         z for z in order if bruhat_leq(x, z) and bruhat_leq(z, y)
     ]
 
@@ -286,5 +287,10 @@ def test_interval_bound_counts_the_bfs_layers(monkeypatch):
     assert len(build(identity(4), longest_element(4))) == 24
     monkeypatch.setattr(intervals, "MAX_INTERVAL_ELEMENTS", 23)
     # its layers hold 1, 3, 5, 6, 5, 3 and 1 elements: the last takes the count past 23
-    with pytest.raises(DomainError, match=r"^\[1234, 4321\] has more than 23 elements: 24 in"):
+    with pytest.raises(DomainError, match=r"^\[1234, 4321\] has more than 23 elements: 24 found$"):
+        build(identity(4), longest_element(4))
+    # the count is checked after each element's covers: the second element
+    # of the layer of 5 takes it to 11, where the whole layer would give 15
+    monkeypatch.setattr(intervals, "MAX_INTERVAL_ELEMENTS", 10)
+    with pytest.raises(DomainError, match=r"^\[1234, 4321\] has more than 10 elements: 11 found$"):
         build(identity(4), longest_element(4))

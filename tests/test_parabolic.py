@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from bruhatpoly import exactlp
+from bruhatpoly.checks import comparable_pairs
 from bruhatpoly.errors import DomainError
 from bruhatpoly.intervals import interval
 from bruhatpoly.parabolic import (
@@ -19,7 +20,7 @@ from bruhatpoly.parabolic import (
     weight_point,
 )
 from bruhatpoly.perms import all_perms, identity, inverse, parse_perm
-from bruhatpoly.polytopes import vertices
+from bruhatpoly.polytopes import f_vector, vertices
 
 P = parse_perm
 
@@ -78,6 +79,25 @@ def test_full_flag_reduces_to_affine_image():
         tuple(4 - x for x in inverse(z)) for z in vertices(u, v)
     )
     assert pts == expected
+
+
+def test_full_flag_faces_are_those_of_the_inverse_interval():
+    """With J = {1,...,n-1} the weight points describe Q_{u^{-1},v^{-1}} up
+    to an affine map, so the faces by dimension are the f-vector of the
+    inverse interval: on all 213 pairs u <= v of S_4, and on S_5 pairs
+    whose two intervals have different f-vectors."""
+    pairs = [(z, z) for z in all_perms(4)] + list(comparable_pairs(4))
+    assert len(pairs) == 213
+    for u, v in pairs:
+        faces_by_dim = parabolic_faces_check(u, v, (1, 2, 3))["faces_by_dim"]
+        assert faces_by_dim == dict(enumerate(f_vector(inverse(u), inverse(v)))), (u, v)
+    for u, v in [("12345", "35412"), ("12354", "45231"), ("32154", "54231")]:
+        u, v = P(u), P(v)
+        faces_by_dim = parabolic_faces_check(u, v, (1, 2, 3, 4))["faces_by_dim"]
+        assert faces_by_dim == dict(enumerate(f_vector(inverse(u), inverse(v)))), (u, v)
+        assert f_vector(u, v) != f_vector(inverse(u), inverse(v))
+    assert f_vector(P("12345"), P("35412")) == (60, 123, 82, 19, 1)
+    assert f_vector(inverse(P("12345")), inverse(P("35412"))) == (60, 122, 81, 19, 1)
 
 
 def test_coincident_pair_from_different_intervals():
@@ -152,7 +172,10 @@ def test_interval_set_witness_matches_brute_force_on_s4():
                     if not _leq(u, v):
                         continue
                     V = parabolic_bip_vertices(u, v, J)
-                    faces = list(exactlp.face_lattice(V))
+                    uniq, masks = exactlp.face_lattice(V)
+                    faces = [
+                        frozenset(p for k, p in enumerate(uniq) if F >> k & 1) for F in sorted(masks)
+                    ]
                     candidates = faces + [
                         frozenset(rng.sample(V, rng.randint(1, len(V)))) for _ in range(2)
                     ] + [rng.choice(faces) | rng.choice(faces) for _ in range(2)]

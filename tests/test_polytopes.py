@@ -219,7 +219,9 @@ def lattices():
         V = [z for z in all_perms(len(u)) if bruhat_leq(u, z) and bruhat_leq(z, v)]
         up = {x: frozenset(z for z in V if bruhat_leq(x, z)) for x in V}
         down = {y: frozenset(z for z in V if bruhat_leq(z, y)) for y in V}
-        out.append((u, v, V, exactlp.face_lattice(V), up, down))
+        uniq, masks = exactlp.face_lattice(V)
+        lattice = {frozenset(z for k, z in enumerate(uniq) if F >> k & 1) for F in masks}
+        out.append((u, v, V, lattice, up, down))
     return out
 
 
@@ -353,7 +355,7 @@ def test_normal_cone_witness_exposes_face():
         for x, y, _d in enumerate_faces(u, v):
             _, _, witness = normal_cone(x, y, u, v)
             exposed = exactlp.face_vertices(witness, V)
-            assert set(exposed) == set(interval(x, y).elements)
+            assert {z for k, z in enumerate(V) if exposed >> k & 1} == interval(x, y).elements
             checked += 1
     assert checked == 2969 + 24  # the pairs u < v, then one face per u = v
 

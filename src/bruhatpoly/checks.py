@@ -13,7 +13,7 @@ import random
 from itertools import combinations, islice, permutations
 from math import factorial
 
-from . import exactlp, parabolic, polytopes, rpoly
+from . import exactlp, intervals, parabolic, polytopes, rpoly
 from .errors import DomainError
 from .intervals import (
     atom_transpositions,
@@ -164,11 +164,13 @@ def faces_pair(pair):
     u, v = pair
     failures = []
     I = interval(u, v)
+    above = intervals.comparabilities(I)
     V, lattice = exactlp.face_lattice(I.order)
     crit = {}
-    for i, j, G in polytopes.face_graphs(I, I.pairs()):
+    pairs = ((i, j) for i, row in enumerate(above) for j in intervals._bits(row))
+    for i, j, G in polytopes.face_graphs(I, above, pairs):
         if polytopes.is_acyclic(G):
-            S = I.between(i, j)
+            S = intervals.between(above, i, j)
             crit[S] = len(u) - G[1].bit_count()
             w = polytopes.witness(G)
             if exactlp.face_vertices(w, V) != S:
@@ -199,7 +201,7 @@ def faces_pair(pair):
         if polytopes.is_toric(u, v) != (k in (3, 4)):
             failures.append(f"{_pair_name(u, v)}: toric vs {k}-crown mismatch")
 
-    return {"lp_tests": sum(map(int.bit_count, I.above)), "failures": failures}
+    return {"lp_tests": sum(map(int.bit_count, above)), "failures": failures}
 
 
 def _greatest_descent(w):

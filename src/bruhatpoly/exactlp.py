@@ -106,6 +106,8 @@ def _facets(points):
     rows, so pairs sharing fewer rows are skipped before that test."""
     keyed = dict(zip(map(tuple, points), _integer_points(points)))
     uniq = sorted(keyed)
+    if len(uniq) > MAX_POINTS or len(uniq[0]) > MAX_DIM:
+        raise DomainError(f"scale guard exceeded: {len(uniq)} points in dimension {len(uniq[0])}")
     ints = [keyed[p] for p in uniq]
     cols = _pivot_columns(ints)
     rows = [(1, *(p[c] for c in cols)) for p in ints]
@@ -141,9 +143,6 @@ def _facets(points):
 def face_lattice(V):
     """The sorted distinct points of V, and every face of conv(V) as the
     bitmask of its points over them: the facets closed under intersection."""
-    dim = _check_points(V)
-    if len(V) > MAX_POINTS or dim > MAX_DIM:
-        raise DomainError(f"scale guard exceeded: {len(V)} points in dimension {dim}")
     uniq, facets = _facets(V)
     return uniq, intersections(facets, (1 << len(uniq)) - 1)
 

@@ -44,13 +44,12 @@ class BruhatInterval:
     order lists the elements sorted; that is a linear extension of Bruhat
     order, so order[0] = u and order[-1] = v.  up[i] holds (j, t) for each
     cover order[j] = order[i] * t, sorted by j; down[i] holds the labels t
-    of the cocovers order[i] * t, sorted by those.  above[i] is a bitset
-    with bit j set iff order[i] <= order[j]: inside an interval, Bruhat
-    order is the transitive closure of the covers.  The cache shares it:
-    read-only.
+    of the cocovers order[i] * t, sorted by those.  The comparabilities are
+    not stored: comparabilities(I) builds them for the call that reads
+    them.  The cache shares the table: read-only.
     """
 
-    __slots__ = ("u", "v", "elements", "order", "up", "down", "above")
+    __slots__ = ("u", "v", "elements", "order", "up", "down")
 
     def __init__(self, *fields):
         for name, value in zip(self.__slots__, fields, strict=True):
@@ -60,30 +59,11 @@ class BruhatInterval:
         raise AttributeError(f"BruhatInterval is immutable: cannot set {name!r}")
 
     @property
-    def covers(self) -> frozenset:
-        """The pairs (x, y) with x covered by y, both inside the interval."""
-        order = self.order
-        return frozenset(
-            (order[i], order[j]) for i, row in enumerate(self.up) for j, _t in row
-        )
-
-    @property
     def rank(self) -> int:
         return length(self.v) - length(self.u)
 
     def __len__(self) -> int:
         return len(self.order)
-
-    def pairs(self):
-        """The index pairs (i, j) with order[i] <= order[j], in (i, j) order."""
-        for i, bits in enumerate(self.above):
-            for j in _bits(bits):
-                yield i, j
-
-    def between(self, i: int, j: int) -> int:
-        """The subinterval [order[i], order[j]] as a bitmask over order."""
-        above = self.above
-        return sum(1 << k for k in _bits(above[i]) if above[k] >> j & 1)
 
 
 def require_leq(u: Perm, v: Perm) -> None:
@@ -92,7 +72,7 @@ def require_leq(u: Perm, v: Perm) -> None:
         raise NotComparableError(f"{format_perm(u)} is not <= {format_perm(v)} in Bruhat order")
 
 
-MAX_INTERVAL_ELEMENTS = 40320  # S_8 [e, w0]; the bitsets of S_9's 362,880 would take 16 GB
+MAX_INTERVAL_ELEMENTS = 40320  # S_8 [e, w0]; S_9's table took 21 s and 1.5 GB under a 2 GB limit
 
 
 @lru_cache(maxsize=1024)
@@ -103,7 +83,6 @@ def interval(u: Perm, v: Perm) -> BruhatInterval:
     rows [i, k) and thresholds [a, b), so y <= v iff s - delta keeps every
     top bit, and only then is y built.  A cover inside the interval joins
     two consecutive layers, so each element's covers are computed once.
-    Elements precede their upper covers in order, so above fills backwards.
     Raises DomainError as soon as the elements found number more than
     MAX_INTERVAL_ELEMENTS."""
     require_leq(check_perm(u), check_perm(v))
@@ -135,16 +114,27 @@ def interval(u: Perm, v: Perm) -> BruhatInterval:
     for i, row in enumerate(up):
         for j, t in row:
             down[j].append(t)
-    above = [0] * len(order)
-    for i in range(len(order) - 1, -1, -1):
+    return BruhatInterval(
+        u, v, frozenset(order), tuple(order), tuple(map(tuple, up)), tuple(map(tuple, down))
+    )
+
+
+def comparabilities(I: BruhatInterval):
+    """above[i], the bitset of the j with order[i] <= order[j]: the
+    transitive closure of the covers, filled backwards.  N^2/8 bytes for N
+    elements, so the caller builds it; the interval cache keeps the covers."""
+    above = [0] * len(I)
+    for i in range(len(I) - 1, -1, -1):
         bits = 1 << i
-        for j, _t in up[i]:
+        for j, _t in I.up[i]:
             bits |= above[j]
         above[i] = bits
-    return BruhatInterval(
-        u, v, frozenset(order), tuple(order),
-        tuple(map(tuple, up)), tuple(map(tuple, down)), tuple(above),
-    )
+    return above
+
+
+def between(above, i: int, j: int) -> int:
+    """The subinterval [order[i], order[j]] as a bitmask, from above."""
+    return sum(1 << k for k in _bits(above[i]) if above[k] >> j & 1)
 
 
 def hasse(I: BruhatInterval):

@@ -20,7 +20,7 @@ from collections import Counter
 
 from . import exactlp
 from .errors import DomainError
-from .intervals import _bits, interval, require_leq
+from .intervals import _bits, between, comparabilities, interval, require_leq
 from .perms import Perm, format_perm, identity
 
 
@@ -87,17 +87,17 @@ def coset_reps_in_interval(u: Perm, v: Perm, J):
     return sorted({min_coset_rep(z, J) for z in interval(u, v).elements})
 
 
-def _is_interval_set(F, T, pts) -> bool:
-    """Is F the point set {p(z) : x <= z <= y} of some [x, y] inside the
-    interval T with y minimal in its coset, where pts[k] = p(T.order[k])?
-    T.order is lexicographic, which extends Bruhat order, so a point's
-    first index is its coset's minimal representative.  If F = p([x, y]),
-    every minimal representative in F's preimage lies below y, so y can
-    only be the last of them."""
+def _is_interval_set(F, above, pts) -> bool:
+    """Is F the point set {p(z) : x <= z <= y} of some [x, y] inside an
+    interval T with y minimal in its coset, where pts[k] = p(T.order[k])
+    and above = comparabilities(T)?  T.order is lexicographic, which
+    extends Bruhat order, so a point's first index is its coset's minimal
+    representative.  If F = p([x, y]), every minimal representative in F's
+    preimage lies below y, so y can only be the last of them."""
     pre = [k for k, p in enumerate(pts) if p in F]
     y = max({pts[k]: k for k in reversed(pre)}.values())
     return any(
-        {pts[k] for k in _bits(T.between(x, y))} == F for x in pre if T.above[x] >> y & 1
+        {pts[k] for k in _bits(between(above, x, y))} == F for x in pre if above[x] >> y & 1
     )
 
 
@@ -118,11 +118,12 @@ def parabolic_faces_check(u: Perm, v: Perm, J) -> dict:
     # in [e, v]: each point of F is p of some z <= v, so its minimal
     # representative is below v, y among them, and x <= y; K indexes [u, v]
     T = interval(identity(n), v)
+    above = comparabilities(T)
     pts = [_weight_point(z, J) for z in T.order]
-    K = list(_bits(T.between(T.order.index(u), len(T) - 1)))
+    K = list(_bits(above[T.order.index(u)]))
     V, faces = exactlp.face_lattice(list({pts[k] for k in K}))
     point_sets = [[V[k] for k in _bits(F)] for F in faces]  # each sorted, as V is
-    violations = sorted(P for P in point_sets if not _is_interval_set(set(P), T, pts))
+    violations = sorted(P for P in point_sets if not _is_interval_set(set(P), above, pts))
 
     cosets = {min_coset_rep(T.order[k], J) for k in K}
     zero_cells_match_cosets = sum(F.bit_count() == 1 for F in faces) == len(V) == len(cosets)

@@ -17,9 +17,9 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter, namedtuple
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, product
-from operator import mul
+from operator import mul, or_
 
 from . import exactlp
 from .errors import DomainError
@@ -257,14 +257,15 @@ def is_face(x: Perm, y: Perm, u: Perm, v: Perm) -> bool:
     return is_acyclic(face_graph(x, y, u, v))
 
 
-def face_graphs(I: BruhatInterval, pairs):
+def face_graphs(I: BruhatInterval, above, pairs):
     """(i, j, G) for each (i, j) in pairs, G the face graph of
     [order[i], order[j]] as face_graph gives it, read from the interval's
     cover table.  The inner labels t with x < xt <= y fix the partition
-    B_{x,y}, and few label sets occur (a cover's is its own label), so the
-    partitions are memoised by them for the call."""
+    B_{x,y}: above[k] has bit j iff order[k] <= order[j], for the upper
+    covers k of each order[i] (intervals.comparabilities).  Few label sets
+    occur (a cover's is its own label), so the partitions are memoised."""
     n = len(I.u)
-    above, up, down = I.above, I.up, I.down
+    up, down = I.up, I.down
     up_labels = [[t for _k, t in row] for row in up]
     blocks = {}
     for i, j in pairs:
@@ -402,10 +403,11 @@ def skeleton_diameter(adj):
 def skeleton(I: BruhatInterval):
     """The 1-skeleton of the polytope of I as bitset rows, bit j of row i
     for an edge order[i] - order[j]: its edges are the covers that pass the
-    face criterion."""
+    face criterion.  An element's upper covers are pairwise incomparable,
+    so on covers the diagonal rows stand in for the comparabilities."""
     covers = [(i, j) for i, row in enumerate(I.up) for j, _t in row]
     adj = [0] * len(I.order)
-    for i, j, G in face_graphs(I, covers):
+    for i, j, G in face_graphs(I, [1 << k for k in range(len(I))], covers):
         if _kahn_order(G) is not None:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
@@ -429,22 +431,20 @@ def is_toric(u: Perm, v: Perm) -> bool:
 def increasing_cycle_free(n, labels) -> bool:
     """No cycle (v0, v1, ..., v_{k-1}, v0) with v0 < v1 < ... < v_{k-1} in
     the graph on {1..n} with one edge per label (a, b); a repeated label
-    counts as an increasing 2-cycle."""
-    edges = set(labels)
-    if len(labels) != len(edges):
+    counts as an increasing 2-cycle.  reach[a], filled from n down, holds
+    the ends of increasing paths from a; an edge a < b closes a cycle iff
+    another neighbour c < b of a reaches b."""
+    if len(labels) != len(set(labels)):
         return False
-    adj = {i: set() for i in range(1, n + 1)}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-
-    def grows(path):
-        last = path[-1]
-        if len(path) >= 3 and path[0] in adj[last]:
-            return True
-        return any(grows(path + [b]) for b in adj[last] if b > last)
-
-    return not any(grows([a]) for a in adj)
+    higher, reach = [0] * (n + 1), [0] * (n + 1)
+    for a, b in map(sorted, labels):
+        higher[a] |= 1 << b
+    for a in range(n, 0, -1):
+        cs = list(_bits(higher[a]))
+        if any(reach[c] >> b & 1 for b in cs for c in cs if c < b):
+            return False
+        reach[a] = reduce(or_, (reach[c] for c in cs), 1 << a)
+    return True
 
 
 def crown_type(u: Perm, v: Perm) -> int:

@@ -234,7 +234,8 @@ def is_special_matching(I: BruhatInterval, M: dict) -> bool:
     x < y satisfies M(x) = y or M(x) <= M(y)."""
     if not is_matching(I, M):
         raise DomainError("not a total Hasse-edge involution on the interval")
-    return _violated_cover(I.covers, M) is None
+    upper = hasse(I)[1]
+    return _violated_cover([(x, y) for x in I.order for y in upper[x]], M) is None
 
 
 def multiplication_matching(I: BruhatInterval, t: Transposition):
@@ -394,7 +395,7 @@ def extend_to_special_matching(u: Perm, v: Perm, t: Transposition):
         propagate_from(u)
     # a violated cover refutes every matching with the forced chain; a complete
     # forced map with none and M(u) = ut would be a matching the search found
-    bad = _violated_cover(sorted(I.covers), M)
+    bad = _violated_cover([(x, y) for x in I.order for y in upper[x]], M)
     if bad is not None:
         x, y = bad
         conflict = {"kind": "cover-violation", "cover": (x, y), "Mx": M[x], "My": M[y]}

@@ -126,10 +126,10 @@ def test_faces_pair_sees_a_vertex_without_an_edge(monkeypatch):
     # up and v all its edges, so the skeleton falls apart
     real = polytopes.face_graphs
 
-    def looped(I, pairs):
+    def looped(I, above, pairs):
         top = I.order.index(I.v)
-        for i, j, (rep, nodes, pred) in real(I, pairs):
-            if j == top and I.between(i, j).bit_count() == 2:
+        for i, j, (rep, nodes, pred) in real(I, above, pairs):
+            if j == top and top in (k for k, _t in I.up[i]):
                 r = rep[0]
                 pred = pred[:r] + (pred[r] | 1 << r,) + pred[r + 1:]
             yield i, j, (rep, nodes, pred)

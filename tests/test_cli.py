@@ -148,15 +148,21 @@ def test_polytope_faces_past_the_bound_is_domain_error(capsys, monkeypatch):
     assert err == "domain error: face enumeration is bounded to 5 elements; the interval has 6\n"
 
 
-# a child process under this address-space limit, in which an unbounded
-# interval BFS at n = 9 ends in a MemoryError after about 16 s, and one
-# bounded only after each whole layer does at n = 60 after about 8 s
-CHILD_LIMIT = (
-    "import resource, sys\n"
-    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-    "from bruhatpoly.cli import main\n"
-    "sys.exit(main(sys.argv[1:]))\n"
-)
+def _run_limited(limit_mb, argv):
+    """The CLI on argv in a child process whose address space is limited to
+    limit_mb MB."""
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit_mb << 20}, {limit_mb << 20}))\n"
+        "from bruhatpoly.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 E60, W60 = ",".join(map(str, range(1, 61))), ",".join(map(str, range(60, 0, -1)))
@@ -172,16 +178,24 @@ FOUND = {"123456789": 40321, E60: 40352}
     ("interval", E60, W60),
 ])
 def test_interval_past_the_bound_is_domain_error(argv):
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", CHILD_LIMIT, *argv],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    # under 1 GB an unbounded interval BFS at n = 9 ends in a MemoryError
+    # after about 16 s, and one bounded only after each whole layer does at
+    # n = 60 after about 8 s
+    done = _run_limited(1024, argv)
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == (
         f"domain error: [{argv[1]}, {argv[2]}] has more than 40320 elements: "
         f"{FOUND[argv[1]]} found\n"
+    )
+
+
+def test_faces_at_n8_are_refused_within_256_mb():
+    # the table of all 40,320 elements of S_8 fits, about 150 MB at peak;
+    # with its comparabilities it took more than 300 MB
+    done = _run_limited(256, ("polytope", "12345678", "87654321", "--faces"))
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "domain error: face enumeration is bounded to 5040 elements; the interval has 40320\n"
     )
 
 

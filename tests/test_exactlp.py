@@ -122,6 +122,14 @@ def test_scale_guard_is_on_the_lp_only():
         affine_rank([(1, 2), (1, 2, 3)])
 
 
+def test_scale_guard_counts_distinct_points():
+    # 302 points, 3 of them distinct: a triangle, with 3 vertices, 3 edges
+    # and itself
+    V, faces = face_lattice([(0, 0)] * 300 + [(1, 0), (0, 1)])
+    assert V == [(0, 0), (0, 1), (1, 0)]
+    assert len(faces) == 7
+
+
 def test_is_face_rejects_float_coordinates():
     with pytest.raises(DomainError, match="int or Fraction, got 0.5"):
         is_face([(0, 0)], [(0, 0), (1, 0.5)])

@@ -7,7 +7,7 @@ import pytest
 from bruhatpoly import exactlp
 from bruhatpoly.checks import comparable_pairs
 from bruhatpoly.errors import DomainError
-from bruhatpoly.intervals import interval
+from bruhatpoly.intervals import comparabilities, interval
 from bruhatpoly.parabolic import (
     _is_interval_set,
     check_subset,
@@ -167,6 +167,7 @@ def test_interval_set_witness_matches_brute_force_on_s4():
             }
             for v in tops:
                 T = interval(identity(4), v)
+                above = comparabilities(T)
                 pts = [weight_point(z, J) for z in T.order]
                 for u in S4:
                     if not _leq(u, v):
@@ -180,7 +181,7 @@ def test_interval_set_witness_matches_brute_force_on_s4():
                         frozenset(rng.sample(V, rng.randint(1, len(V)))) for _ in range(2)
                     ] + [rng.choice(faces) | rng.choice(faces) for _ in range(2)]
                     for F in candidates:
-                        verdict = _is_interval_set(F, T, pts)
+                        verdict = _is_interval_set(F, above, pts)
                         assert verdict == (F in sets), (u, v, J, sorted(F))
                         verdicts[verdict] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0

@@ -9,9 +9,11 @@ from bruhatpoly import exactlp, polytopes
 from bruhatpoly.checks import comparable_pairs, sampled_pairs
 from bruhatpoly.errors import DomainError, NotComparableError
 from bruhatpoly.intervals import (
+    _bits,
     atom_transpositions,
     chain_via_coatoms,
     coatom_transpositions,
+    comparabilities,
     interval,
 )
 from bruhatpoly.perms import (
@@ -268,9 +270,11 @@ def _criterion_faces(u, v):
     """The pairs x <= y of [u, v] whose face graph is acyclic, in (x, y)
     order, with the dimension of [x, y]."""
     I = interval(u, v)
+    above = comparabilities(I)
+    pairs = [(i, j) for i, row in enumerate(above) for j in _bits(row)]
     return [
         (I.order[i], I.order[j], dimension(I.order[i], I.order[j]))
-        for i, j, G in face_graphs(I, I.pairs()) if is_acyclic(G)
+        for i, j, G in face_graphs(I, above, pairs) if is_acyclic(G)
     ]
 
 

@@ -21,14 +21,7 @@ from .intervals import (
     interval,
     inversion_minimal_transpositions,
 )
-from .perms import (
-    all_perms,
-    bruhat_leq,
-    descents,
-    format_perm,
-    identity,
-    length,
-)
+from .perms import all_perms, bruhat_leq, descents, format_perm, identity, length
 
 def _comparable(n: int):
     S = range(1, n + 1)
@@ -167,8 +160,7 @@ def faces_pair(pair):
     above = intervals.comparabilities(I)
     V, lattice = exactlp.face_lattice(I.order)
     crit = {}
-    pairs = ((i, j) for i, row in enumerate(above) for j in intervals._bits(row))
-    for i, j, G in polytopes.face_graphs(I, above, pairs):
+    for i, j, G in polytopes.face_graphs(I, above):
         if polytopes.is_acyclic(G):
             S = intervals.between(above, i, j)
             crit[S] = len(u) - G[1].bit_count()

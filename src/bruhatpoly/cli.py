@@ -160,11 +160,7 @@ def cmd_interval(args, u, v, inputs):
         if u == v:
             raise DomainError("generalized lifting needs u < v")
         t, ut, vt = generalized_lift(u, v)
-        results["lift"] = {
-            "t": _fmt_pair(t),
-            "ut": format_perm(ut),
-            "vt": format_perm(vt),
-        }
+        results["lift"] = {"t": _fmt_pair(t), "ut": format_perm(ut), "vt": format_perm(vt)}
     return results
 
 
@@ -174,9 +170,7 @@ def cmd_polytope(args, u, v, inputs):
     results = {}
     if args.dim:
         results["dimension"] = polytopes.dimension(u, v)
-        results["partition"] = polytopes.format_partition(
-            polytopes.block_partition(u, v)
-        )
+        results["partition"] = polytopes.format_partition(polytopes.block_partition(u, v))
     if args.ineq:
         results["description"] = polytopes.bip_inequalities(u, v).to_json_dict()
     if args.faces:

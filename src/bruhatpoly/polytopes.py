@@ -257,25 +257,26 @@ def is_face(x: Perm, y: Perm, u: Perm, v: Perm) -> bool:
     return is_acyclic(face_graph(x, y, u, v))
 
 
-def face_graphs(I: BruhatInterval, above, pairs):
-    """(i, j, G) for each (i, j) in pairs, G the face graph of
-    [order[i], order[j]] as face_graph gives it, read from the interval's
-    cover table.  The inner labels t with x < xt <= y fix the partition
-    B_{x,y}: above[k] has bit j iff order[k] <= order[j], for the upper
-    covers k of each order[i] (intervals.comparabilities).  Few label sets
-    occur (a cover's is its own label), so the partitions are memoised."""
+def face_graphs(I: BruhatInterval, above):
+    """(i, j, G) for each pair order[i] <= order[j], by i and then j, G the
+    face graph of [order[i], order[j]] as face_graph gives it, read from
+    the interval's cover table.  The inner labels t with x < xt <= y fix
+    the partition B_{x,y}: above[k] has bit j iff order[k] <= order[j],
+    for the upper covers k of each order[i] (intervals.comparabilities).
+    Few label sets occur, so the partitions are memoised."""
     n = len(I.u)
     up, down = I.up, I.down
     up_labels = [[t for _k, t in row] for row in up]
     blocks = {}
-    for i, j in pairs:
-        inner = tuple(t for k, t in up[i] if above[k] >> j & 1)
-        part = blocks.get(inner)
-        if part is None:
-            rep = _block_reps(n, inner)
-            part = blocks[inner] = rep, sum(1 << r for r in set(rep))
-        rep, nodes = part
-        yield i, j, (rep, nodes, _face_pred(n, rep, up_labels[j], down[i]))
+    for i, row in enumerate(above):
+        for j in _bits(row):
+            inner = tuple(t for k, t in up[i] if above[k] >> j & 1)
+            part = blocks.get(inner)
+            if part is None:
+                rep = _block_reps(n, inner)
+                part = blocks[inner] = rep, sum(1 << r for r in set(rep))
+            rep, nodes = part
+            yield i, j, (rep, nodes, _face_pred(n, rep, up_labels[j], down[i]))
 
 
 MAX_FACE_ELEMENTS = 5040  # S_7 [e, w0]; the 545,835 face masks of S_8 would take 2.7 GB
@@ -403,20 +404,32 @@ def skeleton_diameter(adj):
 def skeleton(I: BruhatInterval):
     """The 1-skeleton of the polytope of I as bitset rows, bit j of row i
     for an edge order[i] - order[j]: its edges are the covers that pass the
-    face criterion.  An element's upper covers are pairwise incomparable,
-    so on covers the diagonal rows stand in for the comparabilities."""
-    covers = [(i, j) for i, row in enumerate(I.up) for j, _t in row]
-    adj = [0] * len(I.order)
-    for i, j, G in face_graphs(I, [1 << k for k in range(len(I))], covers):
-        if _kahn_order(G) is not None:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+    face criterion.  A cover's inner partition joins only its label (a, b),
+    so b's block is a's and every other position is a node of its own."""
+    n = len(I.u)
+    up_labels = [[t for _k, t in row] for row in I.up]
+    parts, adj = {}, [0] * len(I)
+    for i, row in enumerate(I.up):
+        for j, (a, b) in row:
+            if (a, b) not in parts:
+                rep = tuple(a if k == b else k for k in range(1, n + 1))
+                parts[a, b] = rep, sum(1 << r for r in set(rep))
+            rep, nodes = parts[a, b]
+            if _kahn_order((rep, nodes, _face_pred(n, rep, up_labels[j], I.down[i]))) is not None:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
     return adj
 
 
 def diameter(u: Perm, v: Perm):
-    """Diameter of the 1-skeleton; None if it is disconnected."""
-    return skeleton_diameter(skeleton(interval(u, v)))
+    """Diameter of the 1-skeleton; None if it is disconnected.  Refused past
+    MAX_FACE_ELEMENTS: the rounds hold two generations of N^2/8 bytes."""
+    I = interval(u, v)
+    if len(I) > MAX_FACE_ELEMENTS:
+        raise DomainError(
+            f"the diameter is bounded to {MAX_FACE_ELEMENTS} elements; the interval has {len(I)}"
+        )
+    return skeleton_diameter(skeleton(I))
 
 
 def is_toric(u: Perm, v: Perm) -> bool:

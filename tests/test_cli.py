@@ -199,6 +199,15 @@ def test_faces_at_n8_are_refused_within_256_mb():
     )
 
 
+def test_diameter_at_n8_is_refused_within_256_mb():
+    # the ball rounds over all 40,320 elements of S_8 peaked at 742 MB
+    done = _run_limited(256, ("polytope", "12345678", "87654321", "--diameter"))
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "domain error: the diameter is bounded to 5040 elements; the interval has 40320\n"
+    )
+
+
 def test_check_suites_are_the_checks_suites():
     assert cli.SUITES == checks.SUITES
 

@@ -21,7 +21,7 @@ from .intervals import (
     interval,
     inversion_minimal_transpositions,
 )
-from .perms import all_perms, bruhat_leq, descents, format_perm, identity, length
+from .perms import all_perms, bruhat_leq, descents, format_perm, identity, inverse, length
 
 def _comparable(n: int):
     S = range(1, n + 1)
@@ -94,10 +94,13 @@ def dimension_pair(pair):
     matroid; one label partition for every maximal chain, the atoms and the
     coatoms (so is_toric's block count is the chain-forest test, as
     tests/test_polytopes.py checks on sampled pairs); no increasing cycle
-    in the atom or coatom labels; dimension = affine rank; and
-    bip_inequalities cutting out exactly the interval from S_n.  One pass
-    up the cover table gives each element the label partitions (as
-    _block_reps tuples) of the chains from u to it, with their counts."""
+    in the atom or coatom labels; dimension = affine rank; and every bound
+    of bip_inequalities equal to the support function h(A) of the points
+    y(z)_a = n - z^{-1}(a), z in [u, v].  Their hull is affinely the
+    polytope of [u^{-1}, v^{-1}], whose edges are covers (faces_pair checks
+    the skeleton), so tight bounds cut it out, and of S_n just the y(z).
+    One pass up the cover table gives each element the label partitions
+    (as _block_reps tuples) of the chains from u to it, with counts."""
     u, v = pair
     n = len(u)
     failures = []
@@ -136,12 +139,13 @@ def dimension_pair(pair):
 
     failures += dimension_rank_pair(pair)["failures"]
 
-    desc = polytopes.bip_inequalities(u, v)
-    wrong = sum(desc.satisfied_by(w) != (w in I.elements) for w in all_perms(n))
-    if wrong:
-        failures.append(
-            f"{_pair_name(u, v)}: inequality description wrong on {wrong} points"
-        )
+    ys = [tuple(n - i for i in inverse(z)) for z in I.order]
+    h = {A: m for A, m, _F in polytopes.support(ys, [range(1, n + 1)]) if len(A) < n}
+    bounds = dict(polytopes.bip_inequalities(u, v).inequalities)
+    failures += [
+        f"{_pair_name(u, v)}: bound {bounds.get(A)} on {list(A)} is not h = {h[A]}"
+        for A in h if bounds.get(A) != h[A]
+    ]
     return {"chains": sum(reps[-1].values()), "failures": failures}
 
 

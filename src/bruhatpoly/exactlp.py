@@ -12,10 +12,9 @@ its facet's vertex set, and two rays are combined only when they pass the
 combinatorial adjacency test.  Every face is an intersection of facets
 (Kaibel and Pfetsch, *Computing the face lattice of a polytope from its
 vertex-facet incidences*, 2002), so the face lattice is the facet
-bitmasks closed under intersection, and the face test and the extreme
-points read it.  No floating point appears in any decision path, and
-nothing here knows about permutations: the module is ground truth for the
-Bruhat code.
+bitmasks closed under intersection, and the face test reads it.  No
+floating point appears in any decision path, and nothing here knows about
+permutations: the module is ground truth for the Bruhat code.
 
 Scale guards: the facet routines are meant for desk-scale instances (point
 sets from S_n with n <= 5).  The affine rank has no such guard.
@@ -32,20 +31,14 @@ MAX_POINTS = 200
 MAX_DIM = 12
 
 
-def _check_points(points):
-    if not points:
-        raise DomainError("empty point set")
-    dim = len(points[0])
-    if any(len(p) != dim for p in points):
-        raise DomainError("points of mixed dimension")
-    return dim
-
-
 def _integer_points(points):
     """The points as integer tuples, all scaled by the lcm of their
     denominators (int and Fraction both carry numerator and denominator);
     one common scale keeps every affine relation."""
-    _check_points(points)
+    if not points:
+        raise DomainError("empty point set")
+    if any(len(p) != len(points[0]) for p in points):
+        raise DomainError("points of mixed dimension")
     try:
         den = math.lcm(*{x.denominator for p in points for x in p})
     except AttributeError:
@@ -174,9 +167,3 @@ def face_vertices(w, V):
     vals = [sum(map(mul, w, p)) for p in V]
     best = max(vals)
     return sum(1 << k for k, x in enumerate(vals) if x == best)
-
-
-def extreme_points(points):
-    """The extreme points, sorted: the points that are faces by themselves."""
-    uniq, faces = face_lattice(points)
-    return [p for k, p in enumerate(uniq) if 1 << k in faces]

@@ -18,7 +18,7 @@ import sys
 from array import array
 from collections import Counter, namedtuple
 from functools import cached_property, reduce
-from itertools import combinations, product
+from itertools import combinations
 from operator import mul, or_
 
 from . import exactlp
@@ -168,7 +168,7 @@ def bip_inequalities(u: Perm, v: Perm) -> PolytopeDescription:
     """Inequality description: sum x_i = n(n+1)/2 together with, for every
     proper nonempty subset A, sum_{i in A} x_i <= sum_k r_{M_k}(A), where
     M_k is the first-values matroid.  Redundant inequalities are retained.
-    checks.dimension_pair compares it with the interval on all of S_n.
+    Every bound is tight on conv{y(z)}, as checks.dimension_pair certifies.
     """
     n = len(u)
     matroids = [interval_matroid(u, v, k, "first-values") for k in range(1, n)]
@@ -282,31 +282,39 @@ def face_graphs(I: BruhatInterval, above):
 MAX_FACE_ELEMENTS = 5040  # S_7 [e, w0]; the 545,835 face masks of S_8 would take 2.7 GB
 
 
-def _facets(I: BruhatInterval):
-    """The facets of the polytope of I as bitmasks over I.order: the maximal
-    proper tight sets, the vertices z maximizing the sum of z(i) over i in A.
-    Each z in I permutes every block of the label partition, so the block
-    sums are constant and the polytope is the product of its projections to
-    the blocks (separators of a generalized permutohedron, Fujishige): A
-    runs over the proper subsets of one block.  Lane k of column i holds
-    z(i) for z = order[k]; no sum s reaches a lane's top bit, so
-    m - 1 + top - s sets it where s is below its maximum m."""
-    n, N = len(I.u), len(I)
-    w, code = next(c for c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if n * (n + 1) < 256 ** c[0])
-    cols = [int.from_bytes(array(code, c).tobytes(), sys.byteorder) for c in zip(*I.order)]
+def support(points, blocks):
+    """(A, h, F) for every nonempty subset A, a sorted tuple, of each block
+    of positions: h = max over the nonnegative integer points p of the sum
+    of p[i-1] over i in A, F the bitmask of the points attaining it.  Lane
+    k of column i holds p[i-1] for p = points[k]; no sum s reaches a lane's
+    top bit, so m - 1 + top - s sets it where s is below its maximum m."""
+    N, columns = len(points), list(zip(*points))
+    bound = sum(map(max, columns))  # at least every subset sum
+    w, code = next(c for c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if 2 * bound < 256 ** c[0])
+    cols = [int.from_bytes(array(code, c).tobytes(), sys.byteorder) for c in columns]
     ones = int.from_bytes(array(code, [1] * N).tobytes(), sys.byteorder)
     top = ones << 8 * w - 1
-    tight = set()
-    for B in label_partition(n, [t for _j, t in I.up[0]]):
-        sums = [0]
+    for B in blocks:
+        subsets, sums = [()], [0]
         for i in B:
+            subsets += [A + (i,) for A in subsets]
             sums += [s + cols[i - 1] for s in sums]
-        for s in sums[1:-1]:  # the proper nonempty subsets of B
+        for A, s in zip(subsets[1:], sums[1:]):
             m = max(memoryview(s.to_bytes(N * w, sys.byteorder)).cast(code))
-            below = (((m - 1) * ones + top - s) & top).to_bytes(N * w, "little")[w - 1::w]
-            tight.add(int(below.translate(b"1" * 128 + b"0" * 128)[::-1], 2))  # top bit clear: 1
+            below = (((m - 1) * ones + top - s) & top).to_bytes(N * w, "big")[::w]  # lane N-1 first
+            yield A, m, int(below.translate(b"1" * 128 + b"0" * 128), 2)  # top bit clear: 1
+
+
+def _facets(I: BruhatInterval):
+    """The facets of the polytope of I as bitmasks over I.order: the maximal
+    proper tight sets of support.  Each z in I permutes every block of the
+    label partition, so the block sums are constant and the polytope is the
+    product of its projections to the blocks (separators of a generalized
+    permutohedron, Fujishige): A runs over the proper subsets of a block."""
+    blocks = [B for B in label_partition(len(I.u), [t for _j, t in I.up[0]]) if len(B) > 1]
+    tight = {F for _A, _h, F in support(I.order, blocks)} - {(1 << len(I)) - 1}
     facets = []
-    for F in sorted(tight - {(1 << N) - 1}, key=int.bit_count, reverse=True):
+    for F in sorted(tight, key=int.bit_count, reverse=True):
         if all(F & G != F for G in facets):
             facets.append(F)
     return facets
@@ -480,28 +488,22 @@ def crown_type(u: Perm, v: Perm) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _translate_to_origin(points):
-    mins = [min(p[i] for p in points) for i in range(len(points[0]))]
-    return sorted(tuple(a - m for a, m in zip(p, mins)) for p in points)
-
-
 def minkowski_check(u: Perm, v: Perm, convention: str = "top-positions") -> bool:
-    """Does the Minkowski sum of the n-1 interval matroid polytopes equal
-    the interval polytope?  Compared after translating both vertex sets so
-    their coordinate-wise minima are zero, since the summands live on a
-    different hyperplane.
+    """Is the polytope of [u, v] a translate of the Minkowski sum of its n-1
+    interval matroid polytopes?  Both are generalized permutohedra (edges
+    parallel to roots), each fixed by its support function on the 0/1
+    directions of nonempty A in {1..n} (Postnikov 2009), the sum's being
+    sum_k r_k(A).  So they are translates iff h(A) - sum_k r_k(A) is
+    additive in A.
 
     The convention argument selects which matroid family is summed; running
     both sides of the first-values / top-positions discrepancy is the point
     of this check.
     """
     n = len(u)
-    if n > 4:
-        raise DomainError("minkowski_check is guarded to n <= 4")
     matroids = [interval_matroid(u, v, k, convention) for k in range(1, n)]
-    sums = {
-        tuple(sum(i in B for B in choice) for i in range(1, n + 1))
-        for choice in product(*(sorted(M.bases, key=sorted) for M in matroids))
+    d = {
+        A: h - sum(M.rank(A) for M in matroids)
+        for A, h, _F in support(interval(u, v).order, [range(1, n + 1)])
     }
-    sum_vertices = exactlp.extreme_points(sorted(sums))
-    return _translate_to_origin(sum_vertices) == _translate_to_origin(vertices(u, v))
+    return all(d[A] == sum(d[(i,)] for i in A) for A in d)

@@ -63,19 +63,49 @@ def test_dimension_pair_sees_a_broken_basis_exchange(monkeypatch):
     assert failures == ["[1234,4321]: basis exchange fails for k=2, top-positions"]
 
 
-def test_dimension_pair_sees_a_wrong_inequality(monkeypatch):
-    # x_1 <= 3 lowered to x_1 <= 2 in flag coordinates cuts off the six
-    # points with w(1) = 1
+def _bounds_moved(monkeypatch, step):
+    # the first bound, x_1 <= 3 in flag coordinates, moved by step
     real = polytopes.bip_inequalities
 
-    def lowered(u, v):
+    def moved(u, v):
         desc = real(u, v)
         (A, rhs), *rest = desc.inequalities
-        return desc._replace(inequalities=((A, rhs - 1), *rest))
+        return desc._replace(inequalities=((A, rhs + step), *rest))
 
-    monkeypatch.setattr(polytopes, "bip_inequalities", lowered)
+    monkeypatch.setattr(polytopes, "bip_inequalities", moved)
+
+
+def test_dimension_pair_sees_a_wrong_inequality(monkeypatch):
+    # x_1 <= 2 cuts off the six points with w(1) = 1
+    _bounds_moved(monkeypatch, -1)
     failures = checks.dimension_pair((identity(4), longest_element(4)))["failures"]
-    assert failures == ["[1234,4321]: inequality description wrong on 6 points"]
+    assert failures == ["[1234,4321]: bound 2 on [1] is not h = 3"]
+
+
+def test_dimension_pair_sees_a_bound_that_is_not_tight(monkeypatch):
+    # x_1 <= 4 cuts off nothing of S_4, but no point of [e, w0] attains it
+    _bounds_moved(monkeypatch, 1)
+    failures = checks.dimension_pair((identity(4), longest_element(4)))["failures"]
+    assert failures == ["[1234,4321]: bound 4 on [1] is not h = 3"]
+
+
+def test_dimension_pair_sees_a_matroid_rank_off_by_one(monkeypatch):
+    # the rank of M_2 raised by one on every subset, its bases kept: every
+    # bound goes up by one and the basis exchange still holds
+    real = polytopes.interval_matroid
+
+    class Raised(polytopes.Matroid):
+        def rank(self, A):
+            return super().rank(A) + 1
+
+    def raised(u, v, k, convention="first-values"):
+        M = real(u, v, k, convention)
+        return Raised(*M) if k == 2 and convention == "first-values" else M
+
+    monkeypatch.setattr(polytopes, "interval_matroid", raised)
+    failures = checks.dimension_pair((identity(4), longest_element(4)))["failures"]
+    assert len(failures) == 14
+    assert failures[0] == "[1234,4321]: bound 4 on [1] is not h = 3"
 
 
 def test_dimension_pair_sees_a_relabelled_cover(monkeypatch):

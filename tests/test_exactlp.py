@@ -10,7 +10,6 @@ from bruhatpoly import exactlp
 from bruhatpoly.errors import DomainError
 from bruhatpoly.exactlp import (
     affine_rank,
-    extreme_points,
     face_lattice,
     face_vertices,
     is_face,
@@ -49,7 +48,7 @@ def test_affine_rank_reads_whole_fractions_as_ints():
             affine_rank(whole[:3] + [(0, bad, 0)])
 
 
-def test_extreme_points_with_one_more_point():
+def test_extreme_points_with_one_more_point(extreme_points):
     # a point of the hull adds no extreme point; one outside it is one
     assert extreme_points(SQUARE + [(0, 0)]) == SQUARE
     assert extreme_points(SQUARE + [(Fraction(1, 2), Fraction(1, 2))]) == SQUARE
@@ -86,7 +85,7 @@ def test_is_face_sees_the_affine_hull_beyond_S():
     assert is_face(S, S + [(2, 1), (-1, 1)])
 
 
-def test_extreme_points_drops_interior():
+def test_extreme_points_drops_interior(extreme_points):
     pts = [(0, 0), (0, 2), (2, 0), (2, 2), (1, 1)]
     assert extreme_points(pts) == [(0, 0), (0, 2), (2, 0), (2, 2)]
 
@@ -107,7 +106,7 @@ def test_face_witness_consistency():
         assert is_face([p for k, p in enumerate(pts) if S >> k & 1], pts)
 
 
-def test_scale_guard_is_on_the_lp_only():
+def test_scale_guard_is_on_the_lp_only(extreme_points):
     S6 = sorted(all_perms(6))  # 720 points, beyond MAX_POINTS
     assert affine_rank(S6) == 5
     with pytest.raises(DomainError, match="scale guard"):
@@ -208,7 +207,7 @@ def test_fraction_cube_has_the_same_lattice():
     assert faces == {frozenset(scaled[p] for p in F) for F in _point_sets(CUBE)}
 
 
-def test_square_with_interior_point():
+def test_square_with_interior_point(extreme_points):
     V = SQUARE + [(Fraction(1, 2), Fraction(1, 2))]
     faces = _point_sets(V)
     assert faces == _point_sets(SQUARE) - {frozenset(SQUARE)} | {frozenset(V)}
@@ -217,7 +216,7 @@ def test_square_with_interior_point():
     assert extreme_points(V) == SQUARE
 
 
-def test_collinear_points():
+def test_collinear_points(extreme_points):
     V = [(0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)]
     assert _point_sets(V) == {
         frozenset([V[0]]), frozenset([V[-1]]), frozenset(V)
@@ -227,7 +226,7 @@ def test_collinear_points():
     assert extreme_points(V + [(4, 4, 1)]) == [V[0], (4, 4, 1)]
 
 
-def test_duplicate_points():
+def test_duplicate_points(extreme_points):
     V = SQUARE + SQUARE[:2]
     assert face_lattice(V) == face_lattice(SQUARE)
     assert is_face([(0, 0), (0, 1)], V)
@@ -245,7 +244,7 @@ def test_square_embedded_in_r4():
     assert _by_dim(faces) == {0: 4, 1: 4, 2: 1}
 
 
-def test_single_point():
+def test_single_point(extreme_points):
     p = (1, Fraction(2, 3), 3)
     assert face_lattice([p]) == face_lattice([p, p]) == ([p], {1})
     assert is_face([p], [p])

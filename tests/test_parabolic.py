@@ -108,11 +108,11 @@ def test_coincident_pair_from_different_intervals():
     assert a == b
 
 
-def test_zero_cells_are_cosets():
+def test_zero_cells_are_cosets(extreme_points):
     u, v, J = P("1234"), P("2413"), (2,)
     pts = parabolic_bip_vertices(u, v, J)
     cosets = coset_reps_in_interval(u, v, J)
-    assert exactlp.extreme_points(pts) == pts
+    assert extreme_points(pts) == pts
     assert len(pts) == len(cosets)
 
 

@@ -1,6 +1,6 @@
 import random
-from collections import deque
-from itertools import combinations
+from collections import Counter, deque
+from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
@@ -498,6 +498,59 @@ def test_toric_forest_and_vertex_inequalities_on_sampled_pairs():
 def test_crown_type_requires_rank_three():
     with pytest.raises(DomainError):
         crown_type(P("1234"), P("3412"))  # rank 4
+
+
+@pytest.mark.parametrize("most", [10, 300, 70000])
+def test_support_is_the_max_and_argmax_of_each_subset_sum(most):
+    # coordinates below most take one-, two- and four-byte lanes
+    rng = random.Random(most)
+    points = [tuple(rng.randrange(most) for _ in range(5)) for _ in range(40)]
+    blocks = [(1, 3, 4), (2,), (5,)]
+    expected = {}
+    for B in blocks:
+        for size in range(1, len(B) + 1):
+            for A in combinations(B, size):
+                sums = [sum(p[i - 1] for i in A) for p in points]
+                h = max(sums)
+                expected[A] = h, sum(1 << k for k, s in enumerate(sums) if s == h)
+    got = {A: (h, F) for A, h, F in polytopes.support(points, blocks)}
+    assert got == expected
+
+
+def _minkowski_by_points(u, v, convention, extreme_points):
+    """The Minkowski sum of the interval matroid polytopes from its points:
+    every sum of one basis per matroid, then its extreme points, compared
+    with the vertices of [u, v] after translating both to the origin;
+    None when the distinct sums exceed the oracle's MAX_POINTS."""
+    n = len(u)
+    matroids = [interval_matroid(u, v, k, convention) for k in range(1, n)]
+    sums = {
+        tuple(sum(i in B for B in choice) for i in range(1, n + 1))
+        for choice in product(*(M.bases for M in matroids))
+    }
+    if len(sums) > exactlp.MAX_POINTS:
+        return None
+
+    def at_origin(points):
+        mins = [min(p[i] for p in points) for i in range(n)]
+        return sorted(tuple(a - m for a, m in zip(p, mins)) for p in points)
+
+    return at_origin(extreme_points(sorted(sums))) == at_origin(vertices(u, v))
+
+
+def test_minkowski_check_matches_the_sum_of_points(extreme_points):
+    """The support-function judgment against the sum built from points, on
+    every pair of S_4 and 60 sampled pairs of S_5, both conventions."""
+    cases = [(pair, conv) for pair in (*comparable_pairs(4), *sampled_pairs(5, 60, 7))
+             for conv in ("first-values", "top-positions")]
+    compared = Counter()
+    for (u, v), conv in cases:
+        expected = _minkowski_by_points(u, v, conv, extreme_points)
+        if expected is not None:
+            assert minkowski_check(u, v, conv) == expected, (u, v, conv)
+            compared[len(u), expected] += 1
+    assert compared[4, True] + compared[4, False] == 2 * 189
+    assert compared[5, True] and compared[5, False], compared
 
 
 def test_minkowski_conventions():

@@ -19,13 +19,11 @@ from .errors import DomainError, NotComparableError
 from .perms import (
     Perm,
     Transposition,
-    _cover_scan,
     _rank_lanes,
+    _steps,
     apply_transposition,
     bruhat_leq,
     check_perm,
-    covers_down,
-    covers_up,
     format_perm,
     length,
 )
@@ -75,32 +73,39 @@ def require_leq(u: Perm, v: Perm) -> None:
 MAX_INTERVAL_ELEMENTS = 40320  # S_8 [e, w0]; S_9's table took 21 s and 1.5 GB under a 2 GB limit
 
 
+def _slack(u: Perm, v: Perm):
+    """(s, TOP): the slack code s = (R(v) | TOP) - R(u) of perms._rank_lanes.
+    No lane borrows, as each top bit exceeds n, so a step (y, t, delta) of
+    u up has y <= v, and one of v down has u <= y, iff s - delta keeps
+    every top bit, whether or not u <= v."""
+    if len(u) != len(v):
+        raise DomainError(f"size mismatch: {len(u)} vs {len(v)}")
+    RF, CB, top, _T = _rank_lanes(len(u))
+    ru, rv = (sum(RF[p] & CB[a] for p, a in enumerate(w, 1)) for w in (u, v))
+    return (rv | top) - ru, top
+
+
 @lru_cache(maxsize=1024)
 def interval(u: Perm, v: Perm) -> BruhatInterval:
     """The cover table of [u, v], from one BFS upward from u.  Each element x
-    carries its slack code s = (R(v) | TOP) - R(x) (perms._rank_lanes); the
-    cover y = x(i k) with a = x_i < b = x_k adds delta, one in each lane of
-    rows [i, k) and thresholds [a, b), so y <= v iff s - delta keeps every
-    top bit, and only then is y built.  A cover inside the interval joins
-    two consecutive layers, so each element's covers are computed once.
-    Raises DomainError as soon as the elements found number more than
-    MAX_INTERVAL_ELEMENTS."""
+    carries its slack code s (_slack(x, v)); its up steps (y, t, delta) of
+    perms._steps fall lexicographically, and y <= v iff s - delta keeps
+    every top bit, so x's row is the passing steps reversed.  Each element's
+    steps are read once.  Raises DomainError as soon as the elements found
+    number more than MAX_INTERVAL_ELEMENTS."""
     require_leq(check_perm(u), check_perm(v))
-    RF, CB, top = _rank_lanes(len(u))
-    R = [sum(RF[p] & CB[a] for p, a in enumerate(w, 1)) for w in (u, v)]
-    ups, frontier = {}, {u: (R[1] | top) - R[0]}
+    s, top = _slack(u, v)
+    ups, frontier = {}, {u: s}
     while frontier:
         found = {}  # the next layer, in the order the BFS finds it
         for x, s in frontier.items():
-            row = ups[x] = []
-            for t in _cover_scan(x, True):
-                i, k = t
-                a, b = x[i - 1], x[k - 1]
-                sy = s - ((RF[i] ^ RF[k]) & (CB[b] ^ CB[a]))
+            row = []
+            for y, t, delta in _steps(x, True):
+                sy = s - delta
                 if sy & top == top:
-                    y = apply_transposition(x, t)
                     found[y] = sy
                     row.append((y, t))
+            ups[x] = row[::-1]
             if len(ups) + len(found) > MAX_INTERVAL_ELEMENTS:
                 raise DomainError(
                     f"[{format_perm(u)}, {format_perm(v)}] has more than "
@@ -109,14 +114,12 @@ def interval(u: Perm, v: Perm) -> BruhatInterval:
         frontier = found
     order = sorted(ups)
     index = {z: i for i, z in enumerate(order)}
-    up = [sorted([(index[y], t) for y, t in ups[z]]) for z in order]
+    up = [tuple((index[y], t) for y, t in ups[z]) for z in order]
     down = [[] for _ in order]  # down[j] fills in the order of its cocovers' i
     for i, row in enumerate(up):
         for j, t in row:
             down[j].append(t)
-    return BruhatInterval(
-        u, v, frozenset(order), tuple(order), tuple(map(tuple, up)), tuple(map(tuple, down))
-    )
+    return BruhatInterval(u, v, frozenset(order), tuple(order), tuple(up), tuple(map(tuple, down)))
 
 
 def comparabilities(I: BruhatInterval):
@@ -158,13 +161,15 @@ def coatoms(I: BruhatInterval):
 
 
 def atom_transpositions(u: Perm, v: Perm):
-    """T-bar(u): transpositions t with u < ut <= v (a cover at u)."""
-    return sorted(t for z, t in covers_up(u) if bruhat_leq(z, v))
+    """T-bar(u), the sorted t with u < ut <= v: u's steps up within v."""
+    s, top = _slack(u, v)
+    return [t for _y, t, delta in _steps(u, True) if (s - delta) & top == top]
 
 
 def coatom_transpositions(u: Perm, v: Perm):
-    """T-underbar(v): transpositions t with u <= vt < v (a cover at v)."""
-    return sorted(t for z, t in covers_down(v) if bruhat_leq(u, z))
+    """T-underbar(v), the sorted t with u <= vt < v: v's steps down above u."""
+    s, top = _slack(u, v)
+    return [t for _y, t, delta in _steps(v, False) if (s - delta) & top == top]
 
 
 def is_inversion_minimal(u: Perm, v: Perm, t: Transposition) -> bool:
@@ -217,15 +222,9 @@ def generalized_lift(u: Perm, v: Perm):
 
 
 def lifting_relations_hold(u: Perm, v: Perm, t: Transposition) -> bool:
-    """The four relations: vt < v and u < ut are covers, u <= vt, ut <= v."""
-    ut = apply_transposition(u, t)
-    vt = apply_transposition(v, t)
-    return (
-        length(vt) == length(v) - 1
-        and length(ut) == length(u) + 1
-        and bruhat_leq(u, vt)
-        and bruhat_leq(ut, v)
-    )
+    """The four relations: vt < v and u < ut are covers, u <= vt, ut <= v;
+    that is, t labels both a coatom and an atom of [u, v]."""
+    return t in coatom_transpositions(u, v) and t in atom_transpositions(u, v)
 
 
 def chain_via_coatoms(I: BruhatInterval):

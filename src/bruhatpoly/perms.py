@@ -105,47 +105,22 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
 
 def is_cover(u: Perm, v: Perm) -> bool:
     """True iff v = u * t for a transposition t with length(v) = length(u) + 1."""
-    if len(u) != len(v):
-        return False
-    diff = [i for i in range(len(u)) if u[i] != v[i]]
-    if len(diff) != 2:
-        return False
-    i, k = diff
-    if u[i] != v[k] or u[k] != v[i]:
-        return False
-    return length(v) == length(u) + 1
-
-
-def _cover_scan(w: Perm, up: bool):
-    """The transpositions t = (i, k) of the covers w*t of w in one
-    direction, in (i, k) order.  For each i, walk k upward keeping the cap,
-    the nearest value to w_i seen so far on the chosen side of it; (i, k)
-    is a cover iff w_k lies between w_i and the cap, which is exactly when
-    no w_j with i < j < k lies between them."""
-    n = len(w)
-    for i in range(n - 1):
-        a = w[i]
-        cap = n + 1 if up else 0
-        for k in range(i + 1, n):
-            b = w[k]
-            if (a < b < cap) if up else (cap < b < a):
-                cap = b
-                yield i + 1, k + 1
+    return len(u) == len(v) and any(y == v for y, _t, _d in _steps(u, True))
 
 
 def covers_up(w: Perm):
-    """All (w*t, t) with length going up by exactly one."""
-    return [(apply_transposition(w, t), t) for t in _cover_scan(w, True)]
+    """All (w*t, t) with length going up by exactly one, in (i, k) order."""
+    return [(y, t) for y, t, _d in _steps(w, True)]
 
 
 def covers_down(w: Perm):
-    """All (w*t, t) with length going down by exactly one."""
-    return [(apply_transposition(w, t), t) for t in _cover_scan(w, False)]
+    """All (w*t, t) with length going down by exactly one, in (i, k) order."""
+    return [(y, t) for y, t, _d in _steps(w, False)]
 
 
 @lru_cache(maxsize=8)
 def _rank_lanes(n: int):
-    """(RF, CB, TOP) for the rank matrix r_w(p, c) = #{j <= p : w(j) > c},
+    """(RF, CB, TOP, T) for the rank matrix r_w(p, c) = #{j <= p : w(j) > c},
     1 <= p <= n and 0 <= c < n, packed into n^2 lanes of one int, each
     W = (n+1).bit_length() + 1 bits wide: RF[p] is 1 in every lane of rows
     >= p, CB[c] in every lane of thresholds < c, and TOP is every lane's
@@ -156,7 +131,33 @@ def _rank_lanes(n: int):
     RF = [ones(n * (n - p)) << p * n * W for p in (0, *range(n + 1))]  # RF[0] = RF[1]
     rows = ones(n, n * W)  # 1 in lane 0 of every row
     CB = [ones(c) * rows for c in range(n + 1)]
-    return RF, CB, ones(n * n) << W - 1
+    T = [[(i, k) for k in range(n + 1)] for i in range(n + 1)]  # shared labels (i, k)
+    return RF, CB, ones(n * n) << W - 1, T
+
+
+@lru_cache(maxsize=1746)  # both directions of each of the 873 permutations of S_1..S_6
+def _cached_steps(w: Perm, up: bool):
+    """The covers w*t of w in one direction as steps (w*t, t, delta), delta =
+    |R(w*t) - R(w)| (_rank_lanes), in (i, k) order: w*t falls (up) or rises
+    (down) lexicographically.  (i, k) is a cover iff w_k lies between w_i and
+    the cap, the value nearest w_i on that side among w_{i+1..k-1}."""
+    n = len(w)
+    RF, CB, _top, T = _rank_lanes(n)
+    steps = []
+    for i, a in enumerate(w[:-1], 1):
+        cap = n + 1 if up else 0
+        for k, b in enumerate(w[i:], i + 1):
+            if (a < b < cap) if up else (cap < b < a):
+                cap = b
+                y = list(w)
+                y[i - 1], y[k - 1] = b, a
+                steps.append((tuple(y), T[i][k], (RF[i] ^ RF[k]) & (CB[a] ^ CB[b])))
+    return tuple(steps)
+
+
+def _steps(w: Perm, up: bool):
+    """_cached_steps(w, up), cached for n <= 6 only: a BFS in S_7 reads each step once."""
+    return (_cached_steps if len(w) <= 6 else _cached_steps.__wrapped__)(w, up)
 
 
 def descents(w: Perm) -> frozenset:

@@ -7,7 +7,7 @@ import importlib
 import pkgutil
 
 import bruhatpoly
-from bruhatpoly import checks, parabolic, polytopes, rpoly
+from bruhatpoly import checks, parabolic, perms, polytopes, rpoly
 from bruhatpoly.intervals import interval
 from bruhatpoly.perms import all_perms, identity, longest_element, parse_perm
 
@@ -24,11 +24,32 @@ def _module_caches():
 
 def test_every_module_cache_is_bounded():
     caches = dict(_module_caches())
-    assert "intervals.interval" in caches
+    assert "intervals.interval" in caches and "perms._cached_steps" in caches
     unbounded = [
         name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None
     ]
     assert unbounded == []
+
+
+def test_step_cache_holds_only_small_permutations():
+    """The cover steps are cached for n <= 6 only: [e, w0] at n = 7 and at
+    n = 8 read every permutation's steps and leave the cache as it was."""
+    interval.cache_clear()
+    perms._cached_steps.cache_clear()
+    try:
+        assert len(interval(identity(5), longest_element(5))) == 120
+        held = perms._cached_steps.cache_info().currsize
+        assert held == 120
+        for n in (7, 8):
+            assert interval(identity(n), longest_element(n)).rank == n * (n - 1) // 2
+            interval.cache_clear()
+        assert perms._cached_steps.cache_info().currsize == held
+        assert perms._cached_steps.cache_parameters()["maxsize"] >= 2 * sum(
+            len(all_perms(n)) for n in range(1, 7)
+        )
+    finally:
+        interval.cache_clear()
+        perms._cached_steps.cache_clear()
 
 
 def test_r_memo_keeps_its_limit_between_calls(monkeypatch):

@@ -19,6 +19,7 @@ from bruhatpoly.intervals import (
     interval,
     inversion_minimal_transpositions,
     is_inversion_minimal,
+    lifting_relations_hold,
     minimality_violation,
 )
 from bruhatpoly.perms import (
@@ -299,3 +300,44 @@ def test_interval_bound_counts_the_bfs_layers(monkeypatch):
     monkeypatch.setattr(intervals, "MAX_INTERVAL_ELEMENTS", 10)
     with pytest.raises(DomainError, match=r"^\[1234, 4321\] has more than 10 elements: 11 found$"):
         build(identity(4), longest_element(4))
+
+
+def _labels_by_definition(u, v, up):
+    """T-bar(u) (up) or T-underbar(v) (down), from the definition: every
+    transposition t, kept when ut covers u with ut <= v, or when vt is
+    covered by v with u <= vt."""
+    n = len(u)
+    out = []
+    for t in ((i, k) for i in range(1, n + 1) for k in range(i + 1, n + 1)):
+        w = u if up else v
+        z = apply_transposition(w, t)
+        if length(z) == length(w) + (1 if up else -1) and (
+            bruhat_leq(z, v) if up else bruhat_leq(u, z)
+        ):
+            out.append(t)
+    return out
+
+
+def test_atom_and_coatom_labels_match_the_definition():
+    """The slack test on the cover steps against the definition, on every
+    ordered pair of S_4, incomparable ones included, and on sampled S_6
+    pairs; and the lifting relations against their four comparisons."""
+    pairs = [(u, v) for u in all_perms(4) for v in all_perms(4)]
+    pairs += list(sampled_pairs(6, 60, 11))
+    for u, v in pairs:
+        atoms_ = _labels_by_definition(u, v, True)
+        coatoms_ = _labels_by_definition(u, v, False)
+        assert atom_transpositions(u, v) == atoms_, (u, v)
+        assert coatom_transpositions(u, v) == coatoms_, (u, v)
+        if len(u) == 4:
+            for t in [(i, k) for i in range(1, 5) for k in range(i + 1, 5)]:
+                ut, vt = apply_transposition(u, t), apply_transposition(v, t)
+                four = (
+                    length(vt) == length(v) - 1 and length(ut) == length(u) + 1
+                    and bruhat_leq(u, vt) and bruhat_leq(ut, v)
+                )
+                assert lifting_relations_hold(u, v, t) == four, (u, v, t)
+    for u, v in [((1, 2, 3), (4, 3, 2, 1)), ((4, 3, 2, 1), (3, 2, 1))]:
+        for labels in (atom_transpositions, coatom_transpositions):
+            with pytest.raises(DomainError, match="size mismatch"):
+                labels(u, v)

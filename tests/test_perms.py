@@ -19,6 +19,7 @@ from bruhatpoly.perms import (
     longest_element,
     parse_perm,
 )
+from bruhatpoly.perms import _rank_lanes, _steps
 
 
 def test_parse_format_roundtrip():
@@ -144,3 +145,64 @@ def test_bruhat_leq_matches_sorted_prefix_criterion():
             pairs += [(u, v), (v, u), (x, y), (y, x)]
     assert sum(_sorted_prefix_leq(x, y) for x, y in pairs) > len(pairs) // 3
     assert [bruhat_leq(x, y) for x, y in pairs] == [_sorted_prefix_leq(x, y) for x, y in pairs]
+
+
+def _is_cover_by_length(u, v):
+    """Reference: u and v differ by swapping two positions, and v has one
+    more inversion."""
+    diff = [i for i in range(len(u)) if u[i] != v[i]]
+    return (
+        len(diff) == 2
+        and (u[diff[0]], u[diff[1]]) == (v[diff[1]], v[diff[0]])
+        and length(v) == length(u) + 1
+    )
+
+
+def test_is_cover_matches_the_length_definition():
+    """On every ordered pair of S_4 and seeded S_6 pairs, half of them
+    a swap apart."""
+    pairs = [(u, v) for u in all_perms(4) for v in all_perms(4)]
+    rng = random.Random(28)
+    for _ in range(300):
+        u = tuple(rng.sample(range(1, 7), 6))
+        i, k = sorted(rng.sample(range(6), 2))
+        v = list(u)
+        v[i], v[k] = v[k], v[i]
+        pairs += [(u, tuple(v)), (tuple(v), u), (u, tuple(rng.sample(range(1, 7), 6)))]
+    assert sum(_is_cover_by_length(u, v) for u, v in pairs) > 200
+    for u, v in pairs:
+        assert is_cover(u, v) == _is_cover_by_length(u, v), (u, v)
+    assert not is_cover((1, 2), (2, 1, 3))
+
+
+def _rank_code(w):
+    """The rank matrix r_w(p, c) = #{j <= p : w(j) > c}, counted, with
+    (p, c) in lane (p - 1) n + c of width (n+1).bit_length() + 1 bits."""
+    n = len(w)
+    W = (n + 1).bit_length() + 1
+    return sum(
+        sum(1 for j in range(p) if w[j] > c) << ((p - 1) * n + c) * W
+        for p in range(1, n + 1)
+        for c in range(n)
+    )
+
+
+def test_cover_steps_are_the_covers_with_their_rank_deltas():
+    """Each step (y, t, delta) of w: y and t are the pairs of covers_up or
+    covers_down, delta is R(y) - R(w) (or R(w) - R(y) going down) for the
+    counted rank matrices, the covers fall lexicographically going up and
+    rise going down, and one label tuple serves every w of one n.  On all
+    of S_5 and on seeded S_7 permutations, which run uncached."""
+    rng = random.Random(7)
+    S7 = [tuple(rng.sample(range(1, 8), 7)) for _ in range(20)]
+    for w in all_perms(5) + S7:
+        RF, CB, _top, T = _rank_lanes(len(w))
+        assert _rank_code(w) == sum(RF[p] & CB[a] for p, a in enumerate(w, 1))
+        for up, covers, sign in ((True, covers_up, 1), (False, covers_down, -1)):
+            steps = _steps(w, up)
+            assert [(y, t) for y, t, _d in steps] == covers(w)
+            for y, t, delta in steps:
+                assert delta == sign * (_rank_code(y) - _rank_code(w)), (w, t)
+                assert t is T[t[0]][t[1]]
+            ys = [y for y, _t, _d in steps]
+            assert ys == sorted(set(ys), reverse=up)

@@ -161,12 +161,12 @@ def faces_pair(pair):
     u, v = pair
     failures = []
     I = interval(u, v)
-    above = intervals.comparabilities(I)
+    above, below = intervals.comparabilities(I)
     V, lattice = exactlp.face_lattice(I.order)
     crit = {}
     for i, j, G in polytopes.face_graphs(I, above):
         if polytopes.is_acyclic(G):
-            S = intervals.between(above, i, j)
+            S = above[i] & below[j]
             crit[S] = len(u) - G[1].bit_count()
             w = polytopes.witness(G)
             if exactlp.face_vertices(w, V) != S:
@@ -225,15 +225,9 @@ def rpoly_pair(pair):
 
 def parabolic_instance(args):
     u, v, J = args
-    failures = []
     rep = parabolic.parabolic_faces_check(u, v, J)
-    for key in (
-        "all_faces_are_interval_sets",
-        "zero_cells_match_cosets",
-        "edges_are_cover_pairs",
-    ):
-        if not rep[key]:
-            failures.append(f"{_pair_name(u, v)} J={list(J)}: {key} fails")
+    keys = ("all_faces_are_interval_sets", "zero_cells_match_cosets", "edges_are_cover_pairs")
+    failures = [f"{_pair_name(u, v)} J={list(J)}: {key} fails" for key in keys if not rep[key]]
     return {"faces": rep["faces_found"], "failures": failures}
 
 

@@ -123,21 +123,19 @@ def interval(u: Perm, v: Perm) -> BruhatInterval:
 
 
 def comparabilities(I: BruhatInterval):
-    """above[i], the bitset of the j with order[i] <= order[j]: the
-    transitive closure of the covers, filled backwards.  N^2/8 bytes for N
-    elements, so the caller builds it; the interval cache keeps the covers."""
-    above = [0] * len(I)
+    """(above, below): above[i] is the bitset of the j with order[i] <=
+    order[j], below[j] that of the i, both closed along the covers, so
+    [order[i], order[j]] is above[i] & below[j]; N^2/4 bytes for N elements."""
+    above, below = [0] * len(I), [1 << j for j in range(len(I))]
     for i in range(len(I) - 1, -1, -1):
         bits = 1 << i
         for j, _t in I.up[i]:
             bits |= above[j]
         above[i] = bits
-    return above
-
-
-def between(above, i: int, j: int) -> int:
-    """The subinterval [order[i], order[j]] as a bitmask, from above."""
-    return sum(1 << k for k in _bits(above[i]) if above[k] >> j & 1)
+    for i, row in enumerate(I.up):
+        for j, _t in row:
+            below[j] |= below[i]
+    return above, below
 
 
 def hasse(I: BruhatInterval):

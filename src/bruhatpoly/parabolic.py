@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from . import exactlp
 from .errors import DomainError
-from .intervals import _bits, between, comparabilities, interval, require_leq
+from .intervals import _bits, comparabilities, interval, require_leq
 from .perms import Perm, format_perm, identity
 
 
@@ -87,61 +86,69 @@ def coset_reps_in_interval(u: Perm, v: Perm, J):
     return sorted({min_coset_rep(z, J) for z in interval(u, v).elements})
 
 
-def _is_interval_set(F, above, pts) -> bool:
-    """Is F the point set {p(z) : x <= z <= y} of some [x, y] inside an
-    interval T with y minimal in its coset, where pts[k] = p(T.order[k])
-    and above = comparabilities(T)?  T.order is lexicographic, which
-    extends Bruhat order, so a point's first index is its coset's minimal
-    representative.  If F = p([x, y]), every minimal representative in F's
-    preimage lies below y, so y can only be the last of them."""
-    pre = [k for k, p in enumerate(pts) if p in F]
-    y = max({pts[k]: k for k in reversed(pre)}.values())
-    return any(
-        {pts[k] for k in _bits(between(above, x, y))} == F for x in pre if above[x] >> y & 1
-    )
+def _is_interval_set(pre, above, below) -> bool:
+    """Is F = p([x, y]), x <= y in T and y minimal in its coset?  pre holds
+    each of F's preimages in T as a bitmask over T.order; (above, below) =
+    comparabilities(T).  T.order extends Bruhat order, so a lowest bit is a
+    minimal representative; all lie below y, so y is the last.  Then [x, y]
+    = above[x] & below[y] lies in the (disjoint) preimages and meets each."""
+    U, y = sum(pre), max(m & -m for m in pre).bit_length() - 1
+    for x in _bits(U & below[y]):
+        S = above[x] & below[y]
+        if not S & ~U and all(S & m for m in pre):
+            return True
+    return False
 
 
 def parabolic_faces_check(u: Perm, v: Perm, J) -> dict:
     """Executable check of the faces theorem for the parabolic polytope.
 
-    The faces are the whole face lattice of the weight points, computed by
-    exactlp from the points alone.  Each face must be a point set
-    {p(z) : x <= z <= y} for some x <= y with y minimal in its coset;
-    0-faces must biject with the cosets meeting [u, v]; 1-faces must join
-    cover-related cosets.
-    """
-    n = len(u)
-    if n > 5:
-        raise DomainError("parabolic_faces_check is guarded to n <= 5")
+    The faces are the facets of the weight points (polytopes._facets: each
+    maximizes a 0/1 direction) closed under intersection.  Each must be a
+    point set {p(z) : x <= z <= y} for some x <= y, y minimal in its coset;
+    0-faces biject with the cosets meeting [u, v]; 1-faces join cover-related
+    cosets.  Refused past polytopes.MAX_FACE_ELEMENTS elements in [e, v]."""
+    from . import exactlp, polytopes
+
     J = _check_instance(u, v, J)
-    # the face's defining interval need not sit inside [u, v], but it sits
-    # in [e, v]: each point of F is p of some z <= v, so its minimal
-    # representative is below v, y among them, and x <= y; K indexes [u, v]
-    T = interval(identity(n), v)
-    above = comparabilities(T)
+    # F = p([x, y]) has [x, y] in [e, v], not always in [u, v]: y is the
+    # minimal representative of a point p(z) of F, z <= v; K indexes [u, v]
+    T = interval(identity(len(u)), v)
+    polytopes.require_face_bound("the faces check", len(T))
+    above, below = comparabilities(T)
     pts = [_weight_point(z, J) for z in T.order]
     K = list(_bits(above[T.order.index(u)]))
-    V, faces = exactlp.face_lattice(list({pts[k] for k in K}))
-    point_sets = [[V[k] for k in _bits(F)] for F in faces]  # each sorted, as V is
-    violations = sorted(P for P in point_sets if not _is_interval_set(set(P), above, pts))
+    V = sorted({pts[k] for k in K})
+    # a cover swaps two values: the hull is the product of its projections to
+    # the blocks the covers join, and a block of b values gives 2^(b-1) <= len(T)
+    swaps = [(T.order[i][a - 1], T.order[i][b - 1]) for i in K for _j, (a, b) in T.up[i]]
+    blocks = [B for B in polytopes.label_partition(len(u), swaps) if len(B) > 1]
+    facets = polytopes._facets(V, blocks)
+    faces = exactlp.intersections(facets, (1 << len(V)) - 1)
+    index, pre = {p: k for k, p in enumerate(V)}, [0] * len(V)
+    for k, p in enumerate(pts):
+        if p in index:
+            pre[index[p]] |= 1 << k
+    violations = sorted(
+        [V[k] for k in _bits(F)] for F in faces
+        if not _is_interval_set([pre[k] for k in _bits(F)], above, below)
+    )
 
     cosets = {min_coset_rep(T.order[k], J) for k in K}
     zero_cells_match_cosets = sum(F.bit_count() == 1 for F in faces) == len(V) == len(cosets)
 
-    index = {p: k for k, p in enumerate(V)}
     cover_masks = {1 << index[pts[i]] | 1 << index[pts[j]] for i in K for j, _t in T.up[i]}
     edges_ok = all(F in cover_masks for F in faces if F.bit_count() == 2)
 
-    # the lattice is graded by dimension: a point has dimension 0, and any
-    # other face one more than the largest face strictly inside it
+    # a point's dimension is 0, any other face F's one more than the largest
+    # F & G over the facets G through its first point, F's facets among them
+    through = {1 << k: [G for G in facets if G >> k & 1] for k in range(len(V))}
     dims = {}
     for F in sorted(faces, key=int.bit_count):
-        dims[F] = max((d + 1 for G, d in dims.items() if G | F == F), default=0)
+        dims[F] = max((dims.get(F & G, -1) for G in through[F & -F]), default=-1) + 1
 
     return {
-        "u": u,
-        "v": v,
-        "J": J,
+        "u": u, "v": v, "J": J,
         "n_points": len(V),
         "n_cosets": len(cosets),
         "faces_found": len(faces),

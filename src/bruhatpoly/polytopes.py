@@ -305,14 +305,12 @@ def support(points, blocks):
             yield A, m, int(below.translate(b"1" * 128 + b"0" * 128), 2)  # top bit clear: 1
 
 
-def _facets(I: BruhatInterval):
-    """The facets of the polytope of I as bitmasks over I.order: the maximal
-    proper tight sets of support.  Each z in I permutes every block of the
-    label partition, so the block sums are constant and the polytope is the
-    product of its projections to the blocks (separators of a generalized
-    permutohedron, Fujishige): A runs over the proper subsets of a block."""
-    blocks = [B for B in label_partition(len(I.u), [t for _j, t in I.up[0]]) if len(B) > 1]
-    tight = {F for _A, _h, F in support(I.order, blocks)} - {(1 << len(I)) - 1}
+def _facets(points, blocks):
+    """The facets of the hull of points as bitmasks over points: the maximal
+    proper tight sets of support on the subsets of blocks.  The hull is a
+    generalized permutohedron, its edges parallel to roots e_a - e_b, so
+    each facet maximizes a 0/1 direction (Postnikov 2009)."""
+    tight = {F for _A, _h, F in support(points, blocks)} - {(1 << len(points)) - 1}
     facets = []
     for F in sorted(tight, key=int.bit_count, reverse=True):
         if all(F & G != F for G in facets):
@@ -320,18 +318,24 @@ def _facets(I: BruhatInterval):
     return facets
 
 
+def require_face_bound(what, N):
+    """Refuse, naming what, an interval of N > MAX_FACE_ELEMENTS elements."""
+    if N > MAX_FACE_ELEMENTS:
+        raise DomainError(f"{what} is bounded to {MAX_FACE_ELEMENTS} elements; the interval has {N}")
+
+
 def _faces(I: BruhatInterval):
     """(mask, dim) for every face of the polytope of I, the facets closed
-    under intersection.  A face is the subinterval [x, y] of its vertices;
-    one of 1, 2 or 4 elements has rank and dim 0, 1 or 2 (a label joins at
-    most two blocks; four vertices span a plane).  Any other face has dim n
-    minus the blocks of the labels of the covers at x in it, memoised."""
-    if len(I) > MAX_FACE_ELEMENTS:
-        raise DomainError(
-            f"face enumeration is bounded to {MAX_FACE_ELEMENTS} elements; the interval has {len(I)}"
-        )
+    under intersection; it is the product of its projections to the label
+    blocks (separators, Fujishige), so each facet's direction is in one.
+    A face is the subinterval [x, y] of its vertices; one of 1, 2 or 4
+    elements has rank and dim 0, 1 or 2 (a label joins at most two blocks;
+    four vertices span a plane).  Any other face has dim n minus the blocks
+    of the labels of the covers at x in it, memoised."""
+    require_face_bound("face enumeration", len(I))
     n, up, dims = len(I.u), I.up, {}
-    for F in exactlp.intersections(_facets(I), (1 << len(I)) - 1):
+    blocks = [B for B in label_partition(n, [t for _j, t in up[0]]) if len(B) > 1]
+    for F in exactlp.intersections(_facets(I.order, blocks), (1 << len(I)) - 1):
         c = F.bit_count()
         if c > 4:
             inner = tuple(t for k, t in up[(F & -F).bit_length() - 1] if F >> k & 1)
@@ -433,10 +437,7 @@ def diameter(u: Perm, v: Perm):
     """Diameter of the 1-skeleton; None if it is disconnected.  Refused past
     MAX_FACE_ELEMENTS: the rounds hold two generations of N^2/8 bytes."""
     I = interval(u, v)
-    if len(I) > MAX_FACE_ELEMENTS:
-        raise DomainError(
-            f"the diameter is bounded to {MAX_FACE_ELEMENTS} elements; the interval has {len(I)}"
-        )
+    require_face_bound("the diameter", len(I))
     return skeleton_diameter(skeleton(I))
 
 

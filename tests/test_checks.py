@@ -20,6 +20,16 @@ def _lattice_with(monkeypatch, change):
     monkeypatch.setattr(exactlp, "face_lattice", changed)
 
 
+def _closure_with(monkeypatch, change):
+    # the same edit on the facet closure, the lattice parabolic_faces_check reads
+    real = exactlp.intersections
+
+    def changed(facets, full):
+        return change(real(facets, full), full.bit_length())
+
+    monkeypatch.setattr(exactlp, "intersections", changed)
+
+
 def test_faces_pair_sees_a_face_that_is_no_interval(monkeypatch):
     # {e, w0} is the hexagon's long diagonal, no face and no interval
     _lattice_with(monkeypatch, lambda L, N: L | {1 | 1 << N - 1})
@@ -35,14 +45,14 @@ def test_faces_pair_sees_a_missing_face(monkeypatch):
 
 def test_parabolic_check_sees_a_face_that_is_no_interval_set(monkeypatch):
     # J = (2,) gives the octahedron; its first and last points are opposite
-    _lattice_with(monkeypatch, lambda L, N: L | {1 | 1 << N - 1})
+    _closure_with(monkeypatch, lambda L, N: L | {1 | 1 << N - 1})
     report = parabolic.parabolic_faces_check(identity(4), parse_perm("3412"), (2,))
     assert not report["all_faces_are_interval_sets"]
     assert not report["edges_are_cover_pairs"]
 
 
 def test_parabolic_check_sees_a_dropped_vertex(monkeypatch):
-    _lattice_with(monkeypatch, lambda L, N: L - {1})
+    _closure_with(monkeypatch, lambda L, N: L - {1})
     report = parabolic.parabolic_faces_check(identity(4), parse_perm("3412"), (2,))
     assert not report["zero_cells_match_cosets"]
     assert report["all_faces_are_interval_sets"]
@@ -198,7 +208,7 @@ def test_diameter_pair_sees_a_skeleton_that_loses_edges(monkeypatch, cut, d):
 
 def test_faces_pair_sees_a_closure_that_drops_a_facet(monkeypatch):
     real = polytopes._facets
-    monkeypatch.setattr(polytopes, "_facets", lambda I: real(I)[1:])
+    monkeypatch.setattr(polytopes, "_facets", lambda points, blocks: real(points, blocks)[1:])
     failures = checks.faces_pair((identity(3), longest_element(3)))["failures"]
     assert failures == ["[123,321]: facet closure differs from the criterion"]
 

@@ -207,8 +207,10 @@ def test_import_loads_only_cli_errors_and_perms():
         (("interval", "12345", "54321", "--lift"), {"polytopes", "rpoly", "parabolic", "checks", "exactlp"}),
         (("rpoly", "12345", "54321", "--tilde"), {"polytopes", "parabolic", "checks", "exactlp"}),
         (("polytope", "12345", "54321", "--dim"), {"rpoly", "parabolic", "checks"}),
+        (("parabolic", "12345", "45123", "--J", "2"), {"polytopes", "rpoly", "checks", "exactlp"}),
+        (("parabolic", "12345", "45123", "--J", "2", "--faces-check"), {"rpoly", "checks"}),
     ],
-    ids=["interval", "rpoly", "polytope"],
+    ids=["interval", "rpoly", "polytope", "parabolic", "parabolic-faces-check"],
 )
 def test_subcommand_loads_only_its_modules(argv, unloaded):
     added = _modules_added(*argv)

@@ -8,7 +8,6 @@ from bruhatpoly.errors import DomainError, NotComparableError
 from bruhatpoly.intervals import (
     atom_transpositions,
     atoms,
-    between,
     chain_via_atoms,
     chain_via_coatoms,
     coatom_transpositions,
@@ -142,23 +141,23 @@ def test_all_maximal_chains_count(maximal_chains):
 
 
 def test_table_above_bits_are_bruhat_order_on_s5():
-    """The comparability bitsets of [e, w0] in S_5 equal bruhat_leq on all
-    14,400 ordered pairs, and between(above, i, j) is the bitmask of the
-    sandwich of the pair."""
+    """The comparability bitsets of [e, w0] in S_5, above and below, equal
+    bruhat_leq on all 14,400 ordered pairs, and above[i] & below[j] is the
+    bitmask of the sandwich of the pair."""
     I = interval(identity(5), longest_element(5))
     order = I.order
-    above = comparabilities(I)
+    above, below = comparabilities(I)
     assert len(order) == 120 and list(order) == sorted(order)
     mismatches = [
         (x, y)
         for i, x in enumerate(order)
         for j, y in enumerate(order)
-        if bool(above[i] >> j & 1) != bruhat_leq(x, y)
+        if not bool(above[i] >> j & 1) == bool(below[j] >> i & 1) == bruhat_leq(x, y)
     ]
     assert mismatches == []
     x, y = order[3], order[100]
     assert bruhat_leq(x, y)
-    S = between(above, 3, 100)
+    S = above[3] & below[100]
     assert [z for k, z in enumerate(order) if S >> k & 1] == [
         z for z in order if bruhat_leq(x, z) and bruhat_leq(z, y)
     ]
@@ -210,9 +209,10 @@ def test_shared_results_refuse_assignment():
 
 
 def _reference_table(u, v):
-    """(order, up, down, above) of [u, v] from covers_up and bruhat_leq
-    alone: a BFS up from u through the covers that stay below v, and the
-    comparabilities above[i] from bruhat_leq on every pair."""
+    """(order, up, down, (above, below)) of [u, v] from covers_up and
+    bruhat_leq alone: a BFS up from u through the covers that stay below v,
+    and the comparabilities above[i] and below[j] from bruhat_leq on every
+    pair."""
     ups, frontier = {}, [u]
     while frontier:
         for x in frontier:
@@ -226,7 +226,8 @@ def _reference_table(u, v):
         for y, t in ups[z]:
             down[index[y]].append(t)
     above = [sum(1 << j for j, y in enumerate(order) if bruhat_leq(x, y)) for x in order]
-    return tuple(order), up, tuple(map(tuple, down)), above
+    below = [sum(1 << i for i, x in enumerate(order) if bruhat_leq(x, y)) for y in order]
+    return tuple(order), up, tuple(map(tuple, down)), (above, below)
 
 
 # [e, s1 s3 ... s15] in S_16, the 8-cube; and at n = 100 a hexagonal prism

@@ -270,7 +270,7 @@ def _criterion_faces(u, v):
     """The pairs x <= y of [u, v] whose face graph is acyclic, in (x, y)
     order, with the dimension of [x, y]."""
     I = interval(u, v)
-    above = comparabilities(I)
+    above, _below = comparabilities(I)
     return [
         (I.order[i], I.order[j], dimension(I.order[i], I.order[j]))
         for i, j, G in face_graphs(I, above) if is_acyclic(G)

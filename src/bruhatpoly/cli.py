@@ -157,8 +157,6 @@ def cmd_interval(args, u, v, inputs):
     for key, covers in (("atoms", atoms(I)), ("coatoms", coatoms(I))):
         results[key] = [{"element": format_perm(z), "t": _fmt_pair(t)} for z, t in covers]
     if args.lift:
-        if u == v:
-            raise DomainError("generalized lifting needs u < v")
         t, ut, vt = generalized_lift(u, v)
         results["lift"] = {"t": _fmt_pair(t), "ut": format_perm(ut), "vt": format_perm(vt)}
     return results

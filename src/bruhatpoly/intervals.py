@@ -65,8 +65,8 @@ class BruhatInterval:
 
 
 def require_leq(u: Perm, v: Perm) -> None:
-    """Raise NotComparableError unless u <= v, the condition for [u, v]."""
-    if not bruhat_leq(u, v):
+    """NotComparableError unless u <= v, and DomainError unless both are permutations."""
+    if not bruhat_leq(check_perm(u), check_perm(v)):
         raise NotComparableError(f"{format_perm(u)} is not <= {format_perm(v)} in Bruhat order")
 
 
@@ -93,7 +93,7 @@ def interval(u: Perm, v: Perm) -> BruhatInterval:
     every top bit, so x's row is the passing steps reversed.  Each element's
     steps are read once.  Raises DomainError as soon as the elements found
     number more than MAX_INTERVAL_ELEMENTS."""
-    require_leq(check_perm(u), check_perm(v))
+    require_leq(u, v)
     s, top = _slack(u, v)
     ups, frontier = {}, {u: s}
     while frontier:
@@ -198,7 +198,7 @@ def inversion_minimal_transpositions(u: Perm, v: Perm):
 
     Nonempty whenever u != v and length(v) >= length(u).
     """
-    if u == v:
+    if check_perm(u) == check_perm(v):
         raise DomainError("inversion-minimal transpositions need u != v")
     return [t for t in combinations(range(1, len(u) + 1), 2) if is_inversion_minimal(u, v, t)]
 
@@ -210,8 +210,9 @@ def generalized_lift(u: Perm, v: Perm):
     Returns (t, ut, vt) for the lexicographically smallest such t.  The
     four relations are asserted; a failure would contradict the theorem.
     """
-    if u == v or not bruhat_leq(u, v):
-        raise NotComparableError(f"need {format_perm(u)} < {format_perm(v)}")
+    require_leq(u, v)
+    if u == v:
+        raise NotComparableError(f"generalized lifting needs {format_perm(u)} < {format_perm(v)}")
     ts = inversion_minimal_transpositions(u, v)
     assert ts, "an inversion-minimal transposition always exists for u < v"
     t = ts[0]

@@ -20,7 +20,7 @@ from collections import Counter
 
 from .errors import DomainError
 from .intervals import _bits, comparabilities, interval, require_leq
-from .perms import Perm, format_perm, identity
+from .perms import Perm, check_perm, format_perm, identity
 
 
 def check_subset(n: int, J) -> tuple:
@@ -42,7 +42,8 @@ def position_blocks(n: int, J) -> tuple:
 
 def min_coset_rep(z: Perm, J) -> Perm:
     """The shortest element of z W_J: sort values within each position block."""
-    return tuple(a for b in position_blocks(len(z), J) for a in sorted(z[b[0] - 1 : b[-1]]))
+    blocks = position_blocks(len(check_perm(z)), J)
+    return tuple(a for b in blocks for a in sorted(z[b[0] - 1 : b[-1]]))
 
 
 def is_min_rep(z: Perm, J) -> bool:
@@ -51,7 +52,7 @@ def is_min_rep(z: Perm, J) -> bool:
 
 def weight_point(z: Perm, J) -> tuple:
     """p(z): 1 at each value of z(1..j), for each j in J."""
-    return _weight_point(z, check_subset(len(z), J))
+    return _weight_point(z, check_subset(len(check_perm(z)), J))
 
 
 def _weight_point(z: Perm, J) -> tuple:

@@ -51,7 +51,7 @@ def longest_element(n: int) -> Perm:
 
 
 def inverse(w: Perm) -> Perm:
-    inv = [0] * len(w)
+    inv = [0] * len(check_perm(w))
     for i, a in enumerate(w):
         inv[a - 1] = i + 1
     return tuple(inv)
@@ -59,7 +59,7 @@ def inverse(w: Perm) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """(p o q)(i) = p(q(i)).  Raises on size mismatch."""
-    if len(p) != len(q):
+    if len(check_perm(p)) != len(check_perm(q)):
         raise DomainError(f"size mismatch: {len(p)} vs {len(q)}")
     return tuple(p[q[i] - 1] for i in range(len(p)))
 
@@ -75,7 +75,7 @@ def apply_transposition(w: Perm, t: Transposition) -> Perm:
 
 
 def length(w: Perm) -> int:
-    """Number of inversions: pairs i < j with w(i) > w(j)."""
+    """Number of inversions, pairs i < j with w(i) > w(j); kernel: w unchecked."""
     n = len(w)
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
@@ -83,9 +83,9 @@ def length(w: Perm) -> int:
 def bruhat_leq(u: Perm, v: Perm) -> bool:
     """Strong Bruhat order by the rank-matrix criterion (Bjorner-Brenti,
     Thm 2.1.5): u <= v iff d[c] = #{j <= i : v(j) > c} - #{j <= i : u(j) > c}
-    >= 0 for every prefix i < n and value c.  Counted as the prefix grows,
-    with no sorting: position i raises d on [u(i), v(i)) or lowers it on
-    [v(i), u(i)), and only a lowering can break the criterion."""
+    >= 0 for every prefix i < n and value c, counted as the prefix grows:
+    position i raises d on [u(i), v(i)) or lowers it on [v(i), u(i)), and
+    only a lowering can break it.  Kernel: u and v are not checked."""
     n = len(u)
     if n != len(v):
         raise DomainError(f"size mismatch: {len(u)} vs {len(v)}")
@@ -105,7 +105,7 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
 
 def is_cover(u: Perm, v: Perm) -> bool:
     """True iff v = u * t for a transposition t with length(v) = length(u) + 1."""
-    return len(u) == len(v) and any(y == v for y, _t, _d in _steps(u, True))
+    return len(check_perm(u)) == len(check_perm(v)) and any(y == v for y, *_ in _steps(u, True))
 
 
 def covers_up(w: Perm):
@@ -163,7 +163,7 @@ def _steps(w: Perm, up: bool):
 def descents(w: Perm) -> frozenset:
     """The right descent set {i : w(i) > w(i+1)}, as indices of simple
     reflections."""
-    return frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
+    return frozenset(i for i in range(1, len(check_perm(w))) if w[i - 1] > w[i])
 
 
 def all_perms(n: int):

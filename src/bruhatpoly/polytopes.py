@@ -32,7 +32,7 @@ from .intervals import (
     interval,
     require_leq,
 )
-from .perms import Perm, bruhat_leq, format_perm, length
+from .perms import Perm, bruhat_leq, check_perm, format_perm, length
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,8 @@ def face_graph(x: Perm, y: Perm, u: Perm, v: Perm):
     edge s -> r, repeats collapsed.  An edge whose endpoints merged into one
     block is the self-loop bit r of pred[r], which counts as a cycle: it
     cannot be consistently ordered."""
-    if not (bruhat_leq(u, x) and bruhat_leq(x, y) and bruhat_leq(y, v)):
+    chain = list(map(check_perm, (u, x, y, v)))
+    if not all(map(bruhat_leq, chain, chain[1:])):
         raise DomainError(
             f"need {format_perm(u)} <= {format_perm(x)} <= {format_perm(y)} <= {format_perm(v)}"
         )

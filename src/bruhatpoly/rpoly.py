@@ -1,6 +1,7 @@
 """R-polynomials and special matchings.
 
-R-polynomials are computed by the classical right-descent recurrence.  One
+R is computed by the classical recurrence at the least right descent of v,
+which on the mirror (w0 v, w0 u), of equal R, is the least ascent of u.  One
 linear step, _step, drives it, the recurrence of R~, the generalized
 recurrence at an inversion-minimal transposition t and the special-matching
 identity; IntPolynomial is a record of coefficients with no arithmetic.
@@ -29,12 +30,14 @@ from .intervals import (
     inversion_minimal_transpositions,
     is_inversion_minimal,
     lifting_relations_hold,
+    require_leq,
 )
 from .perms import (
     Perm,
     Transposition,
     apply_transposition,
     bruhat_leq,
+    check_perm,
     format_perm,
     identity,
     length,
@@ -88,59 +91,44 @@ def _step(f, g, tilde=False):
     return IntPolynomial(out)
 
 
-def _least_right_descent(v: Perm) -> int:
-    return next(i for i in range(1, len(v)) if v[i - 1] > v[i])
-
-
-# Memo of every run of the recurrence, keyed by (tilde, descent_choice, u, v)
-# with None for the least right descent; cleared when a call ends with more
-# than MEMO_LIMIT entries, so that it never holds more between calls.
+# Memo of every run of the recurrence, keyed by (tilde, u, v); cleared when a
+# call ends with more than MEMO_LIMIT entries, never holding more between calls.
 MEMO_LIMIT = 20_000
 _MEMO: dict = {}
 
 
-def r_polynomial(u: Perm, v: Perm, descent_choice=None) -> IntPolynomial:
-    """R_{u,v}(q) by the descent recurrence.
-
-    descent_choice(v) may override which right descent of v drives the
-    recursion (the result is independent of it; tests exploit this).  It
-    must be a pure function of v returning a right descent (else a
-    DomainError): every choice shares the one bounded memo, under its key.
-    """
-    return _recurrence(u, v, False, descent_choice)
+def r_polynomial(u: Perm, v: Perm) -> IntPolynomial:
+    """R_{u,v}(q) by the descent recurrence."""
+    return _recurrence(u, v, False)
 
 
 def r_tilde(u: Perm, v: Perm) -> IntPolynomial:
     """The renormalized polynomial: same recurrence with the (q-1) branch
     replaced by R~_{us,vs} + q R~_{u,vs}."""
-    return _recurrence(u, v, True, None)
+    return _recurrence(u, v, True)
 
 
-def _recurrence(u, v, tilde, descent_choice):
-    """F_{u,v} for F = R (tilde False) or R~ (tilde True), with s = s_i and
-    i = descent_choice(v) a right descent of v, the least by default:
+def _recurrence(u, v, tilde):
+    """F_{u,v} for F = R or R~ (tilde), with s = s_i, i the least right descent of v:
 
         F_{u,v} = F_{us,vs}                          if i is a descent of u,
         F_{u,v} = _step(F_{us,vs}, F_{u,vs}, tilde)  otherwise,
 
     that is q R_{us,vs} + (q - 1) R_{u,vs}, or R~_{us,vs} + q R~_{u,vs}.
+    F is 0 off Bruhat order, so the Bruhat test only prunes.
     """
-    if len(u) != len(v):
-        raise DomainError(f"size mismatch: {len(u)} vs {len(v)}")
-    choose = descent_choice or _least_right_descent
+    check_perm(u), check_perm(v)  # bruhat_leq refuses a size mismatch
 
     def rec(u, v):
         if u == v:
             return ONE
-        key = (tilde, descent_choice, u, v)
+        key = (tilde, u, v)
         if key not in _MEMO:
             _MEMO[key] = down(u, v) if bruhat_leq(u, v) else ZERO
         return _MEMO[key]
 
     def down(u, v):
-        i = choose(v)
-        if not (isinstance(i, int) and 0 < i < len(v) and v[i - 1] > v[i]):
-            raise DomainError(f"descent_choice gave {i!r}, not a right descent of {format_perm(v)}")
+        i = next(i for i in range(1, len(v)) if v[i - 1] > v[i])
         vs = apply_transposition(v, (i, i + 1))
         result = rec(apply_transposition(u, (i, i + 1)), vs)
         return _step(result, rec(u, vs), tilde) if u[i - 1] < u[i] else result
@@ -178,8 +166,7 @@ def recurrence_terms(u: Perm, v: Perm, t: Transposition):
 def generalized_r_identity(u: Perm, v: Perm, t: Transposition) -> bool:
     """Check R_{u,v} = q R_{ut,vt} + (q-1) R_{u,vt} for an inversion-minimal
     t; the identity is a theorem, so False signals a bug."""
-    if not bruhat_leq(u, v):
-        raise DomainError(f"need {format_perm(u)} <= {format_perm(v)}")
+    require_leq(u, v)
     if not is_inversion_minimal(u, v, t):
         raise DomainError(
             f"{t} is not inversion-minimal on ({format_perm(u)}, {format_perm(v)})"

@@ -62,22 +62,6 @@ def test_r_memo_keeps_its_limit_between_calls(monkeypatch):
         assert len(rpoly._MEMO) <= rpoly.MEMO_LIMIT
 
 
-def test_r_memo_keeps_its_limit_across_descent_choices(monkeypatch):
-    # the least and the greatest descent fill the one memo under their own
-    # keys; interleaved, they never leave it above the limit
-    monkeypatch.setattr(rpoly, "MEMO_LIMIT", 40)
-    rpoly._MEMO.clear()
-    e = identity(5)
-    sizes = []
-    for v in sorted(all_perms(5)):
-        for choice in (None, checks._greatest_descent):
-            rpoly.r_polynomial(e, v, descent_choice=choice)
-            sizes.append(len(rpoly._MEMO))
-    assert max(sizes) <= rpoly.MEMO_LIMIT
-    assert any(b < a for a, b in zip(sizes, sizes[1:]))
-    assert {key[1] for key in rpoly._MEMO} <= {None, checks._greatest_descent}
-
-
 def test_faces_pair_builds_only_its_own_interval():
     interval.cache_clear()
     report = checks.faces_pair((identity(4), longest_element(4)))

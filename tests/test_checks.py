@@ -4,7 +4,7 @@ with a wrong label make them fail."""
 
 import pytest
 
-from bruhatpoly import checks, exactlp, parabolic, polytopes
+from bruhatpoly import checks, exactlp, parabolic, polytopes, rpoly
 from bruhatpoly.intervals import BruhatInterval, interval
 from bruhatpoly.perms import all_perms, format_perm, identity, longest_element, parse_perm
 
@@ -218,6 +218,81 @@ def test_faces_pair_sees_a_diameter_below_the_rank(monkeypatch):
     monkeypatch.setattr(polytopes, "skeleton_diameter", lambda adj: real(adj) - 1)
     failures = checks.faces_pair((identity(4), longest_element(4)))["failures"]
     assert failures == ["[1234,4321]: diameter != rank"]
+
+
+# (1234, 2143) has the inversion-minimal (1,2) and (3,4), and its mirror
+# (w0 v, w0 u) is (3412, 4321)
+RPOLY_PAIR = (parse_perm("1234"), parse_perm("2143"))
+
+
+def test_rpoly_pair_sees_a_wrong_recurrence_step(monkeypatch):
+    real = rpoly.recurrence_terms
+
+    def shifted(u, v, t):
+        r_ut_vt, r_u_vt, rhs = real(u, v, t)
+        return r_ut_vt, r_u_vt, rpoly.IntPolynomial((0, *rhs.coeffs))
+
+    monkeypatch.setattr(rpoly, "recurrence_terms", shifted)
+    report = checks.rpoly_pair(RPOLY_PAIR)
+    assert report == {"transpositions": 2, "failures": ["[1234,2143]: generalized recurrence fails"]}
+
+
+def test_rpoly_pair_sees_a_wrong_mirror(monkeypatch):
+    real = rpoly.r_polynomial
+    mirror = (parse_perm("3412"), parse_perm("4321"))
+    monkeypatch.setattr(
+        rpoly, "r_polynomial", lambda u, v: rpoly.ONE if (u, v) == mirror else real(u, v)
+    )
+    assert checks.rpoly_pair(RPOLY_PAIR)["failures"] == [
+        "[1234,2143]: R differs on the mirror [3412,4321]"
+    ]
+
+
+def _negated(monkeypatch):
+    # -R and -R~ everywhere keep every identity but the leading and constant terms
+    real = rpoly._recurrence
+    monkeypatch.setattr(
+        rpoly, "_recurrence",
+        lambda u, v, tilde: rpoly.IntPolynomial(-c for c in real(u, v, tilde).coeffs),
+    )
+
+
+def _degree_off_by_one(monkeypatch):
+    real = checks.length
+    monkeypatch.setattr(checks, "length", lambda w: real(w) + (w == RPOLY_PAIR[1]))
+
+
+@pytest.mark.parametrize("change", [_negated, _degree_off_by_one])
+def test_rpoly_pair_sees_a_wrong_degree_or_term(monkeypatch, change):
+    change(monkeypatch)
+    assert checks.rpoly_pair(RPOLY_PAIR)["failures"] == [
+        "[1234,2143]: degree/leading/constant invariant fails"
+    ]
+
+
+def test_rpoly_pair_sees_a_wrong_tilde_substitution(monkeypatch):
+    monkeypatch.setattr(rpoly, "r_from_tilde", lambda u, v: rpoly.ONE)
+    assert checks.rpoly_pair(RPOLY_PAIR)["failures"] == [
+        "[1234,2143]: tilde substitution mismatch"
+    ]
+
+
+def test_lifting_pair_sees_no_inversion_minimal_transposition(monkeypatch):
+    monkeypatch.setattr(checks, "inversion_minimal_transpositions", lambda u, v: [])
+    report = checks.lifting_pair(RPOLY_PAIR)
+    assert report == {
+        "transpositions": 0,
+        "failures": ["[1234,2143]: no inversion-minimal transposition"],
+    }
+
+
+def test_lifting_pair_sees_a_failed_lift(monkeypatch):
+    real = rpoly.lifting_relations_hold
+    monkeypatch.setattr(
+        rpoly, "lifting_relations_hold", lambda u, v, t: t != (3, 4) and real(u, v, t)
+    )
+    report = checks.lifting_pair(RPOLY_PAIR)
+    assert report == {"transpositions": 2, "failures": ["[1234,2143]: lifting fails for [(3, 4)]"]}
 
 
 def test_sampler_unranks_in_lexicographic_order():

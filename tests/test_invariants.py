@@ -1,6 +1,6 @@
 """Identities from the literature, checked on every pair x <= y of S_4,
 Dyer's path formula for R and R~ on S_4 and samples of S_5 and S_6, with
-the generalized and greatest-descent recurrences held to it, and
+the generalized recurrence and the mirrored pair held to it, and
 Bruhat order as the closure of its covers on all of S_5.
 
 The checks share no code with the implementation: Bruhat order is the
@@ -137,14 +137,13 @@ def test_dyer_path_formula():
         assert c == list(r_tilde(u, v).coeffs), (u, v)
         assert trimmed(r) == coeffs(u, v), (u, v)
         # the generalized recurrence at every inversion-minimal t, and the
-        # descent recurrence driven by the greatest descent, give it too
+        # mirrored pair (w0 v, w0 u), whose recursion steps at the ascents
+        # of u, give it too
         for t in inversion_minimal(u, v):
             assert list(recurrence_terms(u, v, t)[2].coeffs) == trimmed(r), (u, v, t)
-        assert list(r_polynomial(u, v, descent_choice=greatest).coeffs) == trimmed(r), (u, v)
-
-
-def greatest(w):
-    return max(i for i in range(1, len(w)) if w[i - 1] > w[i])
+        n = len(u)
+        mirror = tuple(n + 1 - a for a in v), tuple(n + 1 - a for a in u)
+        assert coeffs(*mirror) == trimmed(r), (u, v)
 
 
 def inversion_minimal(u, v):

@@ -206,3 +206,67 @@ def test_cover_steps_are_the_covers_with_their_rank_deltas():
                 assert t is T[t[0]][t[1]]
             ys = [y for y, _t, _d in steps]
             assert ys == sorted(set(ys), reverse=up)
+
+
+# every public function of the package that takes permutations, called with
+# the pair (u, v) or with w, the one of them that is no permutation
+NON_PERM_CALLS = {
+    "interval": lambda B, u, v, w: B.interval(u, v),
+    "generalized_lift": lambda B, u, v, w: B.generalized_lift(u, v),
+    "inversion_minimal_transpositions": lambda B, u, v, w: B.inversion_minimal_transpositions(u, v),
+    "min_coset_rep": lambda B, u, v, w: B.min_coset_rep(w, (1,)),
+    "parabolic_bip_vertices": lambda B, u, v, w: B.parabolic_bip_vertices(u, v, (1,)),
+    "parabolic_faces_check": lambda B, u, v, w: B.parabolic_faces_check(u, v, (1,)),
+    "weight_point": lambda B, u, v, w: B.weight_point(w, (1,)),
+    "compose": lambda B, u, v, w: B.compose(w, w),
+    "descents": lambda B, u, v, w: B.descents(w),
+    "inverse": lambda B, u, v, w: B.inverse(w),
+    "is_cover": lambda B, u, v, w: B.is_cover(u, v),
+    "bip_inequalities": lambda B, u, v, w: B.bip_inequalities(u, v),
+    "block_partition": lambda B, u, v, w: B.block_partition(u, v),
+    "crown_type": lambda B, u, v, w: B.crown_type(u, v),
+    "diameter": lambda B, u, v, w: B.diameter(u, v),
+    "dimension": lambda B, u, v, w: B.dimension(u, v),
+    "enumerate_faces": lambda B, u, v, w: B.enumerate_faces(u, v),
+    "f_vector": lambda B, u, v, w: B.f_vector(u, v),
+    "interval_matroid": lambda B, u, v, w: B.interval_matroid(u, v, 1),
+    "is_face": lambda B, u, v, w: B.is_face(u, v, u, v),
+    "is_toric": lambda B, u, v, w: B.is_toric(u, v),
+    "minkowski_check": lambda B, u, v, w: B.minkowski_check(u, v),
+    "normal_cone": lambda B, u, v, w: B.normal_cone(u, v, u, v),
+    "vertices": lambda B, u, v, w: B.vertices(u, v),
+    "extend_to_special_matching": lambda B, u, v, w: B.extend_to_special_matching(u, v, (1, 2)),
+    "generalized_r_identity": lambda B, u, v, w: B.generalized_r_identity(u, v, (1, 2)),
+    "r_polynomial": lambda B, u, v, w: B.r_polynomial(u, v),
+    "r_tilde": lambda B, u, v, w: B.r_tilde(u, v),
+    "special_matching_r_identity": lambda B, u, v, w: B.special_matching_r_identity(
+        B.interval(identity(len(w)), longest_element(len(w))),
+        {z: B.compose(z, (2, 1, *range(3, len(w) + 1))) for z in all_perms(len(w))},
+        w,
+    ),
+}
+# bruhat_leq and length are kernel functions, unchecked; format_perm renders
+# any tuple; the rest take an interval, a size, a text or nothing
+UNCHECKED = {"bruhat_leq", "length", "format_perm"}
+NO_PERMS = {
+    "BruhatInterval", "DomainError", "IntPolynomial", "NotComparableError", "atoms",
+    "chain_via_atoms", "chain_via_coatoms", "coatoms", "find_special_matchings", "identity",
+    "is_special_matching", "longest_element", "multiplication_matching", "parse_perm",
+    "recurrence_counterexample_check",
+}
+
+
+def test_non_permutation_table_covers_the_public_names():
+    import bruhatpoly
+
+    assert NON_PERM_CALLS.keys() | UNCHECKED | NO_PERMS == set(bruhatpoly.__all__)
+    assert not NON_PERM_CALLS.keys() & (UNCHECKED | NO_PERMS)
+
+
+@pytest.mark.parametrize("u, v, w", [((1, 2), (3, 4), (3, 4)), ((1, 2, 2), (3, 1, 2), (1, 2, 2))])
+@pytest.mark.parametrize("name", sorted(NON_PERM_CALLS))
+def test_non_permutations_are_a_domain_error(name, u, v, w):
+    import bruhatpoly
+
+    with pytest.raises(DomainError):
+        NON_PERM_CALLS[name](bruhatpoly, u, v, w)

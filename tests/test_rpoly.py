@@ -1,11 +1,11 @@
 import pytest
 
+from bruhatpoly import checks
 from bruhatpoly.errors import DomainError
 from bruhatpoly.intervals import interval, inversion_minimal_transpositions
 from bruhatpoly.perms import (
     all_perms,
     bruhat_leq,
-    descents,
     identity,
     length,
     parse_perm,
@@ -72,52 +72,23 @@ def test_degree_and_term_invariants():
             assert r.coeffs[0] == (-1) ** d
 
 
-def test_descent_choice_independence():
-    first = lambda w: min(descents(w))
-    last = lambda w: max(descents(w))
-    for u, v in [(P("1234"), P("4321")), (P("2143"), P("4231"))]:
-        assert r_polynomial(u, v, descent_choice=first) == r_polynomial(
-            u, v, descent_choice=last
-        )
+def _mirror(u, v):
+    # (w0 v, w0 u), (w0 x)(i) = n + 1 - x(i): left multiplication by w0
+    # reverses Bruhat order, and R_{u,v} = R_{w0 v, w0 u}
+    return tuple(len(v) + 1 - a for a in v), tuple(len(u) + 1 - a for a in u)
 
 
-def test_descent_choice_is_not_read_from_the_default_memo():
-    # with the default run in the memo, a chooser still drives a recursion of
-    # its own, so the descent-choice check compares two independent runs
-    for u in all_perms(4):
-        for v in all_perms(4):
-            if u == v or not bruhat_leq(u, v):
-                continue
-            least = r_polynomial(u, v)
-            seen = []
-
-            def greatest(w):
-                seen.append(w)
-                return max(descents(w))
-
-            assert r_polynomial(u, v, descent_choice=greatest) == least
-            assert seen and seen[0] == v
-
-
-def test_bad_descent_choice_is_a_domain_error():
-    from bruhatpoly import rpoly
-
-    for bad in (1, 7, 0, None):
-        with pytest.raises(DomainError, match=f"gave {bad}, not a right descent of 231"):
-            r_polynomial(P("123"), P("231"), descent_choice=lambda w: bad)
-    # an ascent at one element deep in [e, w0]: the error comes before any
-    # step from it, so what the memo kept under this chooser is still right
-    bad = P("1243")
-    rpoly._MEMO.clear()
-
-    def ascent_at_bad(w):
-        return min(set(range(1, 4)) - descents(w)) if w == bad else max(descents(w))
-
-    with pytest.raises(DomainError, match="gave 1, not a right descent of 1243"):
-        r_polynomial(identity(4), P("4321"), descent_choice=ascent_at_bad)
-    kept = [k for k in rpoly._MEMO if k[1] is ascent_at_bad]
-    assert any(rpoly._MEMO[k] != ZERO for k in kept)
-    assert all(rpoly._MEMO[k] == r_polynomial(*k[2:]) for k in kept)
+def test_mirror_identity():
+    # the mirrored pair's recursion steps at the ascents of u, a different
+    # tree from the one at the descents of v; R~ is R renormalized, so it
+    # is mirror-invariant too
+    pairs = checks.comparable_pairs(4) + checks.sampled_pairs(6, 20, 7)
+    assert len(pairs) == 189 + 20
+    for u, v in pairs:
+        assert r_polynomial(*_mirror(u, v)) == r_polynomial(u, v), (u, v)
+        assert r_tilde(*_mirror(u, v)) == r_tilde(u, v), (u, v)
+    # the self-mirrored pairs, u = w0 v, for which the memo answers the mirror
+    assert sum(_mirror(u, v) == (u, v) for u, v in pairs[:189]) == 7
 
 
 def test_r_tilde_substitution():

@@ -24,7 +24,7 @@ _EXPORTS = {
     "perms": "bruhat_leq compose descents format_perm identity inverse is_cover length "
     "longest_element parse_perm",
     "polytopes": "bip_inequalities block_partition crown_type diameter dimension "
-    "enumerate_faces f_vector interval_matroid is_face is_toric minkowski_check "
+    "enumerate_faces f_vector interval_matroids is_face is_toric minkowski_check "
     "normal_cone vertices",
     "rpoly": "IntPolynomial extend_to_special_matching find_special_matchings "
     "generalized_r_identity is_special_matching multiplication_matching r_polynomial "

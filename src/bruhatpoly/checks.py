@@ -106,8 +106,7 @@ def dimension_pair(pair):
     failures = []
     I = interval(u, v)
     for conv in ("first-values", "top-positions"):
-        for k in range(1, n):
-            bases = polytopes.interval_matroid(u, v, k, conv).bases
+        for _n, k, bases in polytopes.interval_matroids(I, conv):
             # exchange axiom: for bases A, B and a in A - B, some b in B - A makes A - a + b a basis
             if not all(
                 any((A - {a}) | {b} in bases for b in B - A)

@@ -19,7 +19,7 @@ from array import array
 from collections import Counter, namedtuple
 from functools import cached_property, reduce
 from itertools import combinations
-from operator import mul, or_
+from operator import or_
 
 from . import exactlp
 from .errors import DomainError
@@ -104,53 +104,28 @@ class Matroid(namedtuple("Matroid", "n k bases")):  # bases: frozensets of size 
         return max((a & b).bit_count() for b in self._base_masks)
 
 
-def interval_matroid(u: Perm, v: Perm, k: int, convention: str = "first-values") -> Matroid:
-    """The rank-k matroid swept out by the interval.
-
-    Two conventions appear side by side deliberately (see minkowski_check):
-      first-values:  bases are the first k values {z(1), ..., z(k)},
-      top-positions: bases are the positions of the top k values
-                     {z^{-1}(n), ..., z^{-1}(n-k+1)}.
+def interval_matroids(I: BruhatInterval, convention: str = "first-values") -> list:
+    """[M_1, ..., M_{n-1}], the matroids the interval sweeps out, from one
+    pass over its elements: each z gives a sequence, and the bases of M_k
+    are its first k entries.  Two conventions appear side by side
+    deliberately (see minkowski_check):
+      first-values:  z(1), z(2), ...,
+      top-positions: z^{-1}(n), z^{-1}(n-1), ...
     """
-    n = len(u)
-    if not 1 <= k <= n - 1:
-        raise DomainError(f"matroid index k={k} out of range for n={n}")
-    bases = set()
-    for z in interval(u, v).elements:
-        if convention == "first-values":
-            bases.add(frozenset(z[:k]))
-        elif convention == "top-positions":
-            bases.add(frozenset(z.index(n - a) + 1 for a in range(k)))
-        else:
-            raise DomainError(f"unknown matroid convention: {convention!r}")
-    return Matroid(n, k, frozenset(bases))
+    if convention not in ("first-values", "top-positions"):
+        raise DomainError(f"unknown matroid convention: {convention!r}")
+    n = len(I.u)
+    bases = [set() for _ in range(1, n)]
+    for z in I.order:
+        seq = z if convention == "first-values" else [z.index(a) + 1 for a in range(n, 1, -1)]
+        for k, B in enumerate(bases, 1):
+            B.add(frozenset(seq[:k]))
+    return [Matroid(n, k, frozenset(B)) for k, B in enumerate(bases, 1)]
 
 
 class PolytopeDescription(namedtuple("PolytopeDescription", "vertices equalities inequalities")):
     # vertices: integer vectors; equalities: (coeff vector, rhs); inequalities:
     # (subset A as tuple, rhs) meaning sum_{i in A} x_i <= rhs
-
-    def satisfied_by(self, w: Perm) -> bool:
-        """Membership test for a permutation w.
-
-        The equalities hold on the vector (w(1), ..., w(n)).  The
-        inequality right-hand sides bound the first-values statistics of
-        w: for each subset A,
-
-            sum_{i in A} (n - w^{-1}(i))  =  sum_k |A ∩ {w(1), ..., w(k)}|,
-
-        which is at most sum_k r_{M_k}(A) exactly when every initial value
-        set of w is a basis of the corresponding interval matroid.  So the
-        bounds describe conv{y(z) : z in [u, v]}, y_i = n - z^{-1}(i), which
-        is affinely the polytope of [u^{-1}, v^{-1}], not that of [u, v].
-        """
-        n = len(w)
-        y = [0] * (n + 1)
-        for pos, a in enumerate(w):
-            y[a] = n - 1 - pos
-        return all(
-            sum(map(mul, coeffs, w)) == rhs for coeffs, rhs in self.equalities
-        ) and all(sum(y[i] for i in A) <= rhs for A, rhs in self.inequalities)
 
     def to_json_dict(self):
         return {
@@ -168,12 +143,15 @@ def bip_inequalities(u: Perm, v: Perm) -> PolytopeDescription:
     """Inequality description: sum x_i = n(n+1)/2 together with, for every
     proper nonempty subset A, sum_{i in A} x_i <= sum_k r_{M_k}(A), where
     M_k is the first-values matroid.  Redundant inequalities are retained.
-    Every bound is tight on conv{y(z)}, as checks.dimension_pair certifies.
+    Every bound is tight on conv{y(z) : z in [u, v]}, y(z)_a = n - z^{-1}(a),
+    as checks.dimension_pair certifies; that hull is affinely the polytope
+    of [u^{-1}, v^{-1}], not that of [u, v].
     """
     n = len(u)
-    matroids = [interval_matroid(u, v, k, "first-values") for k in range(1, n)]
+    I = interval(u, v)
+    matroids = interval_matroids(I)
     return PolytopeDescription(
-        vertices=tuple(vertices(u, v)),
+        vertices=I.order,
         equalities=(((1,) * n, n * (n + 1) // 2),),
         inequalities=tuple(
             (A, sum(M.rank(A) for M in matroids))
@@ -503,9 +481,10 @@ def minkowski_check(u: Perm, v: Perm, convention: str = "top-positions") -> bool
     of this check.
     """
     n = len(u)
-    matroids = [interval_matroid(u, v, k, convention) for k in range(1, n)]
+    I = interval(u, v)
+    matroids = interval_matroids(I, convention)
     d = {
         A: h - sum(M.rank(A) for M in matroids)
-        for A, h, _F in support(interval(u, v).order, [range(1, n + 1)])
+        for A, h, _F in support(I.order, [range(1, n + 1)])
     }
     return all(d[A] == sum(d[(i,)] for i in A) for A in d)

@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bruhatpoly"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # the most lines src/bruhatpoly/*.py may hold together, as wc -l counts them
-LINE_CEILING = 2476
+LINE_CEILING = 2454
 # where a public name of the package may be read: the package itself, the
 # demos, and the benchmark, which calls workers by their names in strings
 READERS = sorted([*SRC.glob("*.py"), *ROOT.glob("demos/*.py"), *ROOT.glob("bench/*.py")])
@@ -234,7 +234,7 @@ EXPORTED = {
     ],
     "polytopes": [
         "bip_inequalities", "block_partition", "crown_type", "diameter", "dimension",
-        "enumerate_faces", "f_vector", "interval_matroid", "is_face", "is_toric",
+        "enumerate_faces", "f_vector", "interval_matroids", "is_face", "is_toric",
         "minkowski_check", "normal_cone", "vertices",
     ],
     "rpoly": [

@@ -36,7 +36,7 @@ from bruhatpoly.polytopes import (
     enumerate_faces,
     f_vector,
     f_vector_of,
-    interval_matroid,
+    interval_matroids,
 )
 from bruhatpoly.rpoly import (
     MatchingObstruction,
@@ -199,7 +199,7 @@ def test_shared_results_refuse_assignment():
     I = interval(u, v)
     obs = extend_to_special_matching(u, v, (2, 4))
     assert isinstance(obs, MatchingObstruction)
-    values = [interval_matroid(u, v, 2), bip_inequalities(u, v), obs, r_polynomial(u, v)]
+    values = [*interval_matroids(I), bip_inequalities(u, v), obs, r_polynomial(u, v)]
     for obj, fields in [(I, I.__slots__), *((x, x._fields) for x in values)]:
         for field in fields:
             with pytest.raises(AttributeError):

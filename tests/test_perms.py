@@ -229,7 +229,6 @@ NON_PERM_CALLS = {
     "dimension": lambda B, u, v, w: B.dimension(u, v),
     "enumerate_faces": lambda B, u, v, w: B.enumerate_faces(u, v),
     "f_vector": lambda B, u, v, w: B.f_vector(u, v),
-    "interval_matroid": lambda B, u, v, w: B.interval_matroid(u, v, 1),
     "is_face": lambda B, u, v, w: B.is_face(u, v, u, v),
     "is_toric": lambda B, u, v, w: B.is_toric(u, v),
     "minkowski_check": lambda B, u, v, w: B.minkowski_check(u, v),
@@ -251,8 +250,8 @@ UNCHECKED = {"bruhat_leq", "length", "format_perm"}
 NO_PERMS = {
     "BruhatInterval", "DomainError", "IntPolynomial", "NotComparableError", "atoms",
     "chain_via_atoms", "chain_via_coatoms", "coatoms", "find_special_matchings", "identity",
-    "is_special_matching", "longest_element", "multiplication_matching", "parse_perm",
-    "recurrence_counterexample_check",
+    "interval_matroids", "is_special_matching", "longest_element", "multiplication_matching",
+    "parse_perm", "recurrence_counterexample_check",
 }
 
 

@@ -26,7 +26,7 @@ from bruhatpoly.perms import (
     parse_perm,
 )
 from bruhatpoly.polytopes import (
-    PolytopeDescription,
+    Matroid,
     bip_inequalities,
     block_partition,
     crown_type,
@@ -37,7 +37,7 @@ from bruhatpoly.polytopes import (
     face_graphs,
     format_partition,
     increasing_cycle_free,
-    interval_matroid,
+    interval_matroids,
     is_acyclic,
     is_face,
     is_toric,
@@ -107,13 +107,13 @@ def test_bip_inequalities_exact_membership():
     desc = bip_inequalities(u, v)
     for w in all_perms(4):
         inside = bruhat_leq(u, w) and bruhat_leq(w, v)
-        assert desc.satisfied_by(w) == inside
+        assert _satisfied_by_prefixes(desc, w) == inside
 
 
 def _satisfied_by_prefixes(desc, w):
-    """Reference: the equalities on w, and each bound against the right
-    side of the identity in satisfied_by's docstring, the counts
-    |A ∩ {w(1), ..., w(k)}| summed over k = 1..n-1."""
+    """Is w inside desc?  The equalities on w, and each bound on the flag
+    coordinates y_a = n - w^{-1}(a), which satisfy
+    sum_{a in A} y_a = sum_{k=1}^{n-1} |A ∩ {w(1), ..., w(k)}|."""
     prefixes = [set(w[:k]) for k in range(1, len(w))]
     return all(
         sum(c * x for c, x in zip(coeffs, w)) == rhs for coeffs, rhs in desc.equalities
@@ -123,38 +123,56 @@ def _satisfied_by_prefixes(desc, w):
     )
 
 
-def test_satisfied_by_matches_prefix_counts_on_s4():
-    """satisfied_by against the reference on all n! points, for every pair
-    u <= v of S_4 with its right-hand sides moved by -2..+1 (so some points
-    break only one bound, by one) and, in one trial of three, an equality
-    that only some points meet."""
-    rng = random.Random(9)
-    S4 = all_perms(4)
-    for u, v in [(u, v) for u in S4 for v in S4 if bruhat_leq(u, v)]:
-        desc = bip_inequalities(u, v)
-        for trial in range(3):
-            moved = PolytopeDescription(
-                vertices=desc.vertices,
-                equalities=desc.equalities if trial else (((1, 1, 2, 1), 12),),
-                inequalities=tuple(
-                    (A, rhs + rng.choice((-2, -1, 0, 0, 1))) for A, rhs in desc.inequalities
-                ),
-            )
-            for w in S4:
-                assert moved.satisfied_by(w) == _satisfied_by_prefixes(moved, w), (u, v, w)
-
-
 def test_interval_matroid_ranks():
-    u, v = P("1324"), P("2431")
-    M1 = interval_matroid(u, v, 1, convention="first-values")
+    M1, M2, _M3 = interval_matroids(interval(P("1324"), P("2431")), convention="first-values")
     assert set(M1.bases) == {frozenset({1}), frozenset({2})}
-    M2 = interval_matroid(u, v, 2, convention="first-values")
     assert set(M2.bases) == {
         frozenset(b) for b in ({1, 3}, {1, 4}, {2, 3}, {2, 4})
     }
     assert M2.rank((1, 2)) == 1
     assert M2.rank((3, 4)) == 1
     assert M2.rank((1, 3)) == 2
+
+
+def _interval_matroid(u, v, k, convention):
+    """Reference: the rank-k matroid swept out by [u, v], built for this k
+    alone from the element set."""
+    n = len(u)
+    bases = set()
+    for z in interval(u, v).elements:
+        if convention == "first-values":
+            bases.add(frozenset(z[:k]))
+        else:
+            bases.add(frozenset(z.index(n - a) + 1 for a in range(k)))
+    return Matroid(n, k, frozenset(bases))
+
+
+def test_interval_matroids_match_the_per_k_reference():
+    """Every pair u <= v of S_4 and S_5, u = v included, 50 sampled pairs
+    of S_6 and S_2's two intervals, both conventions."""
+    pairs = [(z, z) for n in (2, 4, 5) for z in all_perms(n)]
+    pairs += [*comparable_pairs(2), *comparable_pairs(4), *comparable_pairs(5)]
+    pairs += sampled_pairs(6, 50, 7)
+    assert len(pairs) == 2 + 1 + 24 + 189 + 120 + 3661 + 50
+    for u, v in pairs:
+        I = interval(u, v)
+        for conv in ("first-values", "top-positions"):
+            expected = [_interval_matroid(u, v, k, conv) for k in range(1, len(u))]
+            assert interval_matroids(I, conv) == expected, (u, v, conv)
+
+
+def test_interval_matroids_of_s2_is_one_matroid():
+    I = interval((1, 2), (2, 1))
+    assert interval_matroids(I) == [Matroid(2, 1, frozenset({frozenset({1}), frozenset({2})}))]
+    assert interval_matroids(I, "top-positions") == interval_matroids(I)
+    assert interval_matroids(interval((2, 1), (2, 1)), "top-positions") == [
+        Matroid(2, 1, frozenset({frozenset({1})}))
+    ]
+
+
+def test_interval_matroids_refuse_an_unknown_convention():
+    with pytest.raises(DomainError, match="unknown matroid convention: 'bogus'"):
+        interval_matroids(interval(P("1324"), P("2431")), "bogus")
 
 
 def test_face_criterion_matches_lp_oracle():
@@ -492,7 +510,7 @@ def test_toric_forest_and_vertex_inequalities_on_sampled_pairs():
             forest = len(set(labels)) == len(labels) == n - len(label_partition(n, labels))
             assert is_toric(u, v) == forest, (u, v)
             desc = bip_inequalities(u, v)
-            assert all(map(desc.satisfied_by, desc.vertices)), (u, v)
+            assert all(_satisfied_by_prefixes(desc, w) for w in desc.vertices), (u, v)
 
 
 def test_crown_type_requires_rank_three():
@@ -523,7 +541,7 @@ def _minkowski_by_points(u, v, convention, extreme_points):
     with the vertices of [u, v] after translating both to the origin;
     None when the distinct sums exceed the oracle's MAX_POINTS."""
     n = len(u)
-    matroids = [interval_matroid(u, v, k, convention) for k in range(1, n)]
+    matroids = interval_matroids(interval(u, v), convention)
     sums = {
         tuple(sum(i in B for B in choice) for i in range(1, n + 1))
         for choice in product(*(M.bases for M in matroids))

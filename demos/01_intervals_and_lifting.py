@@ -18,7 +18,7 @@ I = interval(u, v)
 
 print(f"interval [{format_perm(u)}, {format_perm(v)}]")
 print(f"  size {len(I)}, rank {I.rank}")
-print(f"  elements: {', '.join(format_perm(z) for z in sorted(I.elements))}")
+print(f"  elements: {', '.join(format_perm(z) for z in I.order)}")
 print()
 
 print(f"right descents: u -> {sorted(descents(u))}, v -> {sorted(descents(v))}")

@@ -299,11 +299,11 @@ PAIR_SUITES = {
 SUITES = (*PAIR_SUITES, "parabolic", "all")
 
 
-def suite_pairs(name, n=4, pairs=None, sampled=False, jobs=1):
-    """One suite of PAIR_SUITES over pairs (default: every comparable pair
-    of S_n), with its sampled worker when sampled is true."""
+def suite_pairs(name, n=4, pairs=None, jobs=1):
+    """One suite of PAIR_SUITES over every comparable pair of S_n, or with
+    its sampled worker over the sampled pairs given."""
+    worker = PAIR_SUITES[name][pairs is not None]
     pairs = pairs if pairs is not None else comparable_pairs(n)
-    worker = PAIR_SUITES[name][sampled]
     return _collect(name, n, pairs, _map(worker, pairs, jobs))
 
 
@@ -365,7 +365,7 @@ def suite_sampled(n=5, sample=500, seed=7, jobs=1):
     """The sampled large-n suite: every suite of PAIR_SUITES, with its
     sampled worker, on one draw of seeded comparable pairs."""
     pairs = sampled_pairs(n, sample, seed)
-    parts = [suite_pairs(suite, n, pairs, True, jobs) for suite in PAIR_SUITES]
+    parts = [suite_pairs(suite, n, pairs, jobs) for suite in PAIR_SUITES]
     return {
         "suite": "sampled",
         "n": n,
@@ -388,7 +388,7 @@ def run_suite(name, n=4, sample=None, seed=7, jobs=1):
             return suite_sampled(n, sample, seed, jobs)
         if name not in PAIR_SUITES:
             raise DomainError(f"suite {name!r} has no sampled mode")
-        return suite_pairs(name, n, sampled_pairs(n, sample, seed), True, jobs)
+        return suite_pairs(name, n, sampled_pairs(n, sample, seed), jobs)
     if name in PAIR_SUITES:
         return suite_pairs(name, n, jobs=jobs)
     if name == "parabolic":

@@ -36,13 +36,11 @@ EXIT_SUITE_FAILED = 4
 SUITES = ("lifting", "dimension", "faces", "rpoly", "parabolic", "all")
 
 
-def _parse_transposition(text, n):
+def _parse_transposition(text):
     try:
         i, k = (int(part) for part in text.split(","))
     except ValueError:
         raise DomainError(f"cannot parse transposition {text!r}; expected 'i,k'")
-    if not 1 <= i < k <= n:
-        raise DomainError(f"bad transposition ({i},{k}) for n={n}")
     return (i, k)
 
 
@@ -198,7 +196,7 @@ def cmd_polytope(args, u, v, inputs):
 
 def cmd_rpoly(args, u, v, inputs):
     from . import rpoly
-    from .intervals import minimality_violation, require_leq
+    from .intervals import require_inversion_minimal, require_leq
 
     r = rpoly.r_polynomial(u, v)
     results = {"r": str(r), "coefficients": list(r.coeffs)}
@@ -208,14 +206,8 @@ def cmd_rpoly(args, u, v, inputs):
         results["r_tilde_coefficients"] = list(rt.coeffs)
     if args.generalized:
         require_leq(u, v)
-        t = _parse_transposition(args.generalized, len(u))
-        why = minimality_violation(u, v, t)
-        if why is not None:
-            raise DomainError(
-                f"({t[0]},{t[1]}) is not inversion-minimal on "
-                f"({format_perm(u)}, {format_perm(v)}): {why['reason']} at "
-                f"positions {_fmt_pair(why['positions'])}"
-            )
+        t = _parse_transposition(args.generalized)
+        require_inversion_minimal(u, v, t)
         r_ut_vt, r_u_vt, rhs = rpoly.recurrence_terms(u, v, t)
         results["generalized"] = {
             "t": _fmt_pair(t),

@@ -47,7 +47,7 @@ class BruhatInterval:
     them.  The cache shares the table: read-only.
     """
 
-    __slots__ = ("u", "v", "elements", "order", "up", "down")
+    __slots__ = ("u", "v", "order", "up", "down")
 
     def __init__(self, *fields):
         for name, value in zip(self.__slots__, fields, strict=True):
@@ -119,7 +119,7 @@ def interval(u: Perm, v: Perm) -> BruhatInterval:
     for i, row in enumerate(up):
         for j, t in row:
             down[j].append(t)
-    return BruhatInterval(u, v, frozenset(order), tuple(order), tuple(up), tuple(map(tuple, down)))
+    return BruhatInterval(u, v, tuple(order), tuple(up), tuple(map(tuple, down)))
 
 
 def comparabilities(I: BruhatInterval):
@@ -183,7 +183,7 @@ def minimality_violation(u: Perm, v: Perm, t: Transposition):
         raise DomainError(f"size mismatch: {len(u)} vs {len(v)}")
     i, k = t
     if not (1 <= i < k <= len(u)):
-        raise DomainError(f"bad transposition {t!r} for n={len(u)}")
+        raise DomainError(f"bad transposition ({i},{k}) for n={len(u)}")
     if not (v[i - 1] > v[k - 1] and u[i - 1] < u[k - 1]):
         return {"reason": "endpoints", "positions": (i, k)}
     for p in range(i, k + 1):
@@ -191,6 +191,17 @@ def minimality_violation(u: Perm, v: Perm, t: Transposition):
             if (p, q) != (i, k) and v[p - 1] > v[q - 1] and u[p - 1] < u[q - 1]:
                 return {"reason": "proper subinterval", "positions": (p, q)}
     return None
+
+
+def require_inversion_minimal(u: Perm, v: Perm, t: Transposition) -> None:
+    """DomainError unless t is inversion-minimal on (u, v), naming the reason
+    and the positions of minimality_violation."""
+    if why := minimality_violation(u, v, t):
+        (i, k), (p, q) = t, why["positions"]
+        raise DomainError(
+            f"({i},{k}) is not inversion-minimal on ({format_perm(u)}, {format_perm(v)}): "
+            f"{why['reason']} at positions ({p},{q})"
+        )
 
 
 def inversion_minimal_transpositions(u: Perm, v: Perm):

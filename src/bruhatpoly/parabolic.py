@@ -79,12 +79,12 @@ def _check_instance(u: Perm, v: Perm, J) -> tuple:
 def parabolic_bip_vertices(u: Perm, v: Perm, J):
     """Deduplicated, sorted weight points of the interval [u, v]."""
     J = _check_instance(u, v, J)
-    return sorted({_weight_point(z, J) for z in interval(u, v).elements})
+    return sorted({_weight_point(z, J) for z in interval(u, v).order})
 
 
 def coset_reps_in_interval(u: Perm, v: Perm, J):
     """Sorted minimal representatives of the cosets meeting [u, v]."""
-    return sorted({min_coset_rep(z, J) for z in interval(u, v).elements})
+    return sorted({min_coset_rep(z, J) for z in interval(u, v).order})
 
 
 def _is_interval_set(pre, above, below) -> bool:

@@ -30,6 +30,7 @@ from .intervals import (
     inversion_minimal_transpositions,
     is_inversion_minimal,
     lifting_relations_hold,
+    require_inversion_minimal,
     require_leq,
 )
 from .perms import (
@@ -167,10 +168,7 @@ def generalized_r_identity(u: Perm, v: Perm, t: Transposition) -> bool:
     """Check R_{u,v} = q R_{ut,vt} + (q-1) R_{u,vt} for an inversion-minimal
     t; the identity is a theorem, so False signals a bug."""
     require_leq(u, v)
-    if not is_inversion_minimal(u, v, t):
-        raise DomainError(
-            f"{t} is not inversion-minimal on ({format_perm(u)}, {format_perm(v)})"
-        )
+    require_inversion_minimal(u, v, t)
     return r_polynomial(u, v) == recurrence_terms(u, v, t)[2]
 
 
@@ -209,19 +207,18 @@ def recurrence_counterexample_check() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def is_matching(I: BruhatInterval, M: dict) -> bool:
-    lower, upper = hasse(I)
-    return set(M) == set(I.elements) and all(
-        (M[x] in lower[x] or M[x] in upper[x]) and M[M[x]] == x for x in M
-    )
+def _hasse_involution(M: dict, lower: dict, upper: dict) -> bool:
+    """True iff every x of M, an element of the interval, goes to a Hasse
+    neighbour z with M(z) = x; (lower, upper) is hasse(I)."""
+    return all(M.get(z) == x and (z in lower[x] or z in upper[x]) for x, z in M.items())
 
 
 def is_special_matching(I: BruhatInterval, M: dict) -> bool:
     """True iff M is a matching of the Hasse diagram such that every cover
     x < y satisfies M(x) = y or M(x) <= M(y)."""
-    if not is_matching(I, M):
+    lower, upper = hasse(I)
+    if M.keys() != lower.keys() or not _hasse_involution(M, lower, upper):
         raise DomainError("not a total Hasse-edge involution on the interval")
-    upper = hasse(I)[1]
     return _violated_cover([(x, y) for x in I.order for y in upper[x]], M) is None
 
 
@@ -229,23 +226,25 @@ def multiplication_matching(I: BruhatInterval, t: Transposition):
     """The matching x -> x*t, if right multiplication by t is a matching of
     the Hasse diagram of the interval; None otherwise."""
     M = {x: apply_transposition(x, t) for x in I.order}
-    return M if is_matching(I, M) else None
+    return M if _hasse_involution(M, *hasse(I)) else None
 
 
-def special_matching_r_identity(I: BruhatInterval, M: dict, u: Perm) -> bool:
-    """For a special matching M of a lower interval [e, w] and u <= w:
-    R_{u,w} = q^c R_{M(u),M(w)} + (q^c - 1) R_{u,M(w)}, c = 1 iff M(u) > u."""
+def special_matching_r_identity(I: BruhatInterval, M: dict) -> bool:
+    """For a special matching M of a lower interval [e, w], validated once:
+    R_{u,w} = q^c R_{M(u),M(w)} + (q^c - 1) R_{u,M(w)} at every u <= w,
+    c = 1 iff M(u) > u."""
     if I.u != identity(len(I.u)):
         raise DomainError("the matching identity is stated on lower intervals [e, w]")
     if not is_special_matching(I, M):
         raise DomainError("matching is not special")
-    if u not in I.elements:
-        raise DomainError(f"{format_perm(u)} is not below {format_perm(I.v)}")
-    w = I.v
-    rhs = r_polynomial(M[u], M[w])
-    if M[u] > u:  # M(u) covers u: a cover steps up lexicographically
-        rhs = _step(rhs, r_polynomial(u, M[w]))
-    return r_polynomial(u, w) == rhs
+    w, Mw = I.v, M[I.v]
+
+    def rhs(u):
+        r = r_polynomial(M[u], Mw)
+        # M(u) covers u: a cover steps up lexicographically
+        return _step(r, r_polynomial(u, Mw)) if M[u] > u else r
+
+    return all(r_polynomial(u, w) == rhs(u) for u in I.order)
 
 
 def _violated_cover(covers, M: dict):
@@ -263,7 +262,7 @@ def find_special_matchings(I: BruhatInterval):
 
 
 def _rank_order(I: BruhatInterval):
-    return sorted(I.elements, key=lambda z: (length(z), z))
+    return sorted(I.order, key=lambda z: (length(z), z))
 
 
 def _special_matchings(I: BruhatInterval, seeds: dict, lower: dict, upper: dict):
@@ -272,7 +271,7 @@ def _special_matchings(I: BruhatInterval, seeds: dict, lower: dict, upper: dict)
     cover is checked once its last endpoint is matched.  Nothing when seeds,
     elements of the interval, are not a partial matching along Hasse edges
     or already violate a cover.  (lower, upper) is hasse(I)."""
-    if any(seeds.get(z) != x or z not in lower[x] + upper[x] for x, z in seeds.items()):
+    if not _hasse_involution(seeds, lower, upper):
         return
     order = _rank_order(I)
     M = dict(seeds)
@@ -330,10 +329,7 @@ def extend_to_special_matching(u: Perm, v: Perm, t: Transposition):
     forced map (covers in order), else the bottom seed matched elsewhere,
     else the elements left unmatched.
     """
-    if not is_inversion_minimal(u, v, t):
-        raise DomainError(
-            f"{t} is not inversion-minimal on ({format_perm(u)}, {format_perm(v)})"
-        )
+    require_inversion_minimal(u, v, t)
     I = interval(u, v)
     ut, vt = apply_transposition(u, t), apply_transposition(v, t)
     lower, upper = hasse(I)

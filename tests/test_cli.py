@@ -236,6 +236,16 @@ def test_rpoly_rejects_non_minimal(capsys):
     assert "not inversion-minimal" in err
 
 
+@pytest.mark.parametrize("t, reason", [
+    ("2,4", "(2,4) is not inversion-minimal on (1324, 4231): proper subinterval at positions (3,4)"),
+    ("2,3", "(2,3) is not inversion-minimal on (1324, 4231): endpoints at positions (2,3)"),
+    ("1,5", "bad transposition (1,5) for n=4"),
+])
+def test_rpoly_generalized_refusal_names_its_reason(capsys, t, reason):
+    code, out, err = run_cli(capsys, "rpoly", "1324", "4231", "--generalized", t)
+    assert (code, out, err) == (3, "", f"domain error: {reason}\n")
+
+
 def test_rpoly_generalized_needs_comparable(capsys):
     # (2,3) passes the minimality scan, but 1243 is not <= 1324: the identity
     # would hold vacuously with both sides 0

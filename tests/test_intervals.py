@@ -20,6 +20,7 @@ from bruhatpoly.intervals import (
     is_inversion_minimal,
     lifting_relations_hold,
     minimality_violation,
+    require_inversion_minimal,
 )
 from bruhatpoly.perms import (
     all_perms,
@@ -51,7 +52,7 @@ def test_interval_elements_are_exactly_the_sandwich():
     expected = {
         z for z in all_perms(4) if bruhat_leq(u, z) and bruhat_leq(z, v)
     }
-    assert set(I.elements) == expected
+    assert set(I.order) == expected
     assert len(I) == 8
     assert I.rank == length(v) - length(u)
 
@@ -105,6 +106,18 @@ def test_minimality_violation_explains_failures():
     u, v = (2, 1, 4, 3), (3, 2, 4, 1)
     for t in inversion_minimal_transpositions(u, v):
         assert minimality_violation(u, v, t) is None
+
+
+@pytest.mark.parametrize("t, message", [
+    ((2, 4), "(2,4) is not inversion-minimal on (1324, 4231): proper subinterval at positions (3,4)"),
+    ((2, 3), "(2,3) is not inversion-minimal on (1324, 4231): endpoints at positions (2,3)"),
+    ((1, 5), "bad transposition (1,5) for n=4"),
+])
+def test_require_inversion_minimal_names_the_reason(t, message):
+    with pytest.raises(DomainError) as err:
+        require_inversion_minimal((1, 3, 2, 4), (4, 2, 3, 1), t)
+    assert str(err.value) == message
+    assert require_inversion_minimal((1, 3, 2, 4), (4, 2, 3, 1), (1, 2)) is None
 
 
 @pytest.mark.parametrize("u, v, t", [
@@ -174,7 +187,7 @@ def test_table_covers_are_the_cover_pairs_on_s4():
             I = interval(u, v)
             assert (I.order[0], I.order[-1]) == (u, v)
             expected = frozenset(
-                (x, y) for x in I.elements for y in I.elements if is_cover(x, y)
+                (x, y) for x in I.order for y in I.order if is_cover(x, y)
             )
             upper = hasse(I)[1]
             assert {(x, y) for x in I.order for y in upper[x]} == expected
@@ -253,7 +266,6 @@ def test_packed_bfs_is_the_reference_table():
     for u, v in _TABLE_PAIRS:
         I = interval(u, v)
         assert (I.order, I.up, I.down, comparabilities(I)) == _reference_table(u, v), (u, v)
-        assert I.elements == frozenset(I.order)
 
 
 def test_counted_f_vector_is_the_enumerated_one():

@@ -238,11 +238,6 @@ NON_PERM_CALLS = {
     "generalized_r_identity": lambda B, u, v, w: B.generalized_r_identity(u, v, (1, 2)),
     "r_polynomial": lambda B, u, v, w: B.r_polynomial(u, v),
     "r_tilde": lambda B, u, v, w: B.r_tilde(u, v),
-    "special_matching_r_identity": lambda B, u, v, w: B.special_matching_r_identity(
-        B.interval(identity(len(w)), longest_element(len(w))),
-        {z: B.compose(z, (2, 1, *range(3, len(w) + 1))) for z in all_perms(len(w))},
-        w,
-    ),
 }
 # bruhat_leq and length are kernel functions, unchecked; format_perm renders
 # any tuple; the rest take an interval, a size, a text or nothing
@@ -251,7 +246,7 @@ NO_PERMS = {
     "BruhatInterval", "DomainError", "IntPolynomial", "NotComparableError", "atoms",
     "chain_via_atoms", "chain_via_coatoms", "coatoms", "find_special_matchings", "identity",
     "interval_matroids", "is_special_matching", "longest_element", "multiplication_matching",
-    "parse_perm", "recurrence_counterexample_check",
+    "parse_perm", "recurrence_counterexample_check", "special_matching_r_identity",
 }
 
 

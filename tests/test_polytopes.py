@@ -78,7 +78,7 @@ def test_partition_is_chain_independent(maximal_chains):
 
 def test_vertices_are_interval_permutations():
     u, v = P("1324"), P("2431")
-    assert set(vertices(u, v)) == set(interval(u, v).elements)
+    assert set(vertices(u, v)) == set(interval(u, v).order)
 
 
 def test_bip_inequalities_golden_example():
@@ -139,7 +139,7 @@ def _interval_matroid(u, v, k, convention):
     alone from the element set."""
     n = len(u)
     bases = set()
-    for z in interval(u, v).elements:
+    for z in interval(u, v).order:
         if convention == "first-values":
             bases.add(frozenset(z[:k]))
         else:
@@ -178,12 +178,12 @@ def test_interval_matroids_refuse_an_unknown_convention():
 def test_face_criterion_matches_lp_oracle():
     u, v = P("1243"), P("4132")
     V = vertices(u, v)
-    elems = sorted(interval(u, v).elements)
+    elems = interval(u, v).order
     for x in elems:
         for y in elems:
             if not bruhat_leq(x, y):
                 continue
-            S = sorted(interval(x, y).elements)
+            S = interval(x, y).order
             assert is_face(x, y, u, v) == exactlp.is_face(S, V)
 
 
@@ -210,7 +210,7 @@ def test_enumerate_faces_matches_face_criterion():
         + list(sampled_pairs(5, 200, seed=11))
     )
     for u, v in pairs:
-        els = sorted(interval(u, v).elements)
+        els = interval(u, v).order
         expected = [
             (x, y) for x in els for y in els
             if bruhat_leq(x, y) and is_face(x, y, u, v)
@@ -376,7 +376,7 @@ def test_normal_cone_witness_exposes_face():
         for x, y, _d in enumerate_faces(u, v):
             _, _, witness = normal_cone(x, y, u, v)
             exposed = exactlp.face_vertices(witness, V)
-            assert {z for k, z in enumerate(V) if exposed >> k & 1} == interval(x, y).elements
+            assert {z for k, z in enumerate(V) if exposed >> k & 1} == set(interval(x, y).order)
             checked += 1
     assert checked == 2969 + 24  # the pairs u < v, then one face per u = v
 

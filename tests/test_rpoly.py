@@ -1,8 +1,8 @@
 import pytest
 
-from bruhatpoly import checks
+from bruhatpoly import checks, rpoly
 from bruhatpoly.errors import DomainError
-from bruhatpoly.intervals import interval, inversion_minimal_transpositions
+from bruhatpoly.intervals import hasse, interval, inversion_minimal_transpositions
 from bruhatpoly.perms import (
     all_perms,
     bruhat_leq,
@@ -107,8 +107,13 @@ def test_generalized_identity_on_minimal_transpositions():
 
 
 def test_generalized_identity_rejects_non_minimal():
-    with pytest.raises(DomainError):
-        generalized_r_identity(P("1324"), P("4231"), (2, 4))
+    # extend_to_special_matching refuses such a t with the same reason
+    for check in (generalized_r_identity, extend_to_special_matching):
+        with pytest.raises(DomainError) as err:
+            check(P("1324"), P("4231"), (2, 4))
+        assert str(err.value) == (
+            "(2,4) is not inversion-minimal on (1324, 4231): proper subinterval at positions (3,4)"
+        )
 
 
 def test_recurrence_counterexample_report():
@@ -148,10 +153,61 @@ def test_special_matching_r_identity_lower_interval():
             continue
         I = interval(e, w)
         for M in find_special_matchings(I):
-            for u in I.elements:
-                assert special_matching_r_identity(I, M, u), (w, u)
+            assert special_matching_r_identity(I, M), w
+            for u in I.order:
                 moves[length(M[u]) > length(u)] += 1
     assert moves[True] == moves[False] > 0
+
+
+def test_special_matching_r_identity_on_every_lower_interval_of_s5():
+    e = identity(5)
+    count = 0
+    for w in all_perms(5):
+        if w != e:
+            I = interval(e, w)
+            for M in find_special_matchings(I):
+                assert special_matching_r_identity(I, M), w
+                count += 1
+    assert count == 544
+
+
+def test_special_matching_r_identity_checks_every_u(monkeypatch):
+    # R_{u,w} off by one at a single u, every u in turn: the identity fails
+    I = interval(identity(4), P("3412"))
+    M = find_special_matchings(I)[0]
+    for bad in I.order:
+        def r(x, y, bad=bad):
+            p = r_polynomial(x, y)
+            return IntPolynomial((p.coeffs[0] + 1, *p.coeffs[1:])) if (x, y) == (bad, I.v) else p
+
+        monkeypatch.setattr(rpoly, "r_polynomial", r)
+        assert not special_matching_r_identity(I, M), bad
+
+
+def test_special_matching_r_identity_reads_the_diagram_once(monkeypatch):
+    I = interval(identity(4), P("4231"))
+    M = multiplication_matching(I, (1, 2))
+    calls = []
+    monkeypatch.setattr(rpoly, "hasse", lambda J: calls.append(J) or hasse(J))
+    assert special_matching_r_identity(I, M)
+    assert calls == [I]
+
+
+def test_special_matching_r_identity_refuses_bad_input():
+    I = interval(identity(4), P("2341"))
+    M = {}
+    for a, b in [("1234", "1243"), ("1324", "1342"), ("2134", "2314"), ("2143", "2341")]:
+        M[P(a)], M[P(b)] = P(b), P(a)
+    with pytest.raises(DomainError, match="^matching is not special$"):
+        special_matching_r_identity(I, M)
+    J = interval(P("1243"), P("2341"))
+    with pytest.raises(DomainError, match=r"^the matching identity is stated on lower intervals \[e, w\]$"):
+        special_matching_r_identity(J, find_special_matchings(J)[0])
+
+
+def test_multiplication_matching_off_the_hasse_diagram_is_none():
+    # 1234 (1 3) = 3214 lies in [e, 4231] but does not cover 1234
+    assert multiplication_matching(interval(identity(4), P("4231")), (1, 3)) is None
 
 
 def test_matching_outside_the_interval_is_a_domain_error():
@@ -161,13 +217,25 @@ def test_matching_outside_the_interval_is_a_domain_error():
         is_special_matching(I, {P("123"): P("132"), P("213"): P("123")})
 
 
+def test_partial_or_non_involutive_map_is_a_domain_error():
+    I = interval(P("1234"), P("3412"))
+    M = dict(find_special_matchings(I)[0])
+    del M[P("1234")]
+    with pytest.raises(DomainError, match="^not a total Hasse-edge involution on the interval$"):
+        is_special_matching(I, M)
+    # every arrow is a cover of [123, 321], but 231 -> 321 -> 312
+    steps = ["123", "132"], ["132", "123"], ["213", "231"], ["231", "321"], ["321", "312"], ["312", "213"]
+    with pytest.raises(DomainError, match="^not a total Hasse-edge involution on the interval$"):
+        is_special_matching(interval(P("123"), P("321")), {P(x): P(z) for x, z in steps})
+
+
 def test_find_special_matchings_returns_involutions():
     I = interval(identity(4), P("3412"))
     matchings = find_special_matchings(I)
     assert matchings
     for M in matchings:
         assert is_special_matching(I, M)
-        assert all(M[M[x]] == x for x in I.elements)
+        assert all(M[M[x]] == x for x in I.order)
 
 
 def test_extend_to_special_matching_positive_golden():

@@ -16,6 +16,7 @@ from math import factorial
 from . import exactlp, intervals, parabolic, polytopes, rpoly
 from .errors import DomainError
 from .intervals import (
+    _bits,
     atom_transpositions,
     coatom_transpositions,
     interval,
@@ -106,11 +107,11 @@ def dimension_pair(pair):
     failures = []
     I = interval(u, v)
     for conv in ("first-values", "top-positions"):
-        for _n, k, bases in polytopes.interval_matroids(I, conv):
+        for k, bases in enumerate(polytopes.interval_matroids(I, conv), 1):
             # exchange axiom: for bases A, B and a in A - B, some b in B - A makes A - a + b a basis
             if not all(
-                any((A - {a}) | {b} in bases for b in B - A)
-                for A in bases for B in bases for a in A - B
+                any(A ^ 1 << a | 1 << b in bases for b in _bits(B & ~A))
+                for A in bases for B in bases for a in _bits(A & ~B)
             ):
                 failures.append(f"{_pair_name(u, v)}: basis exchange fails for k={k}, {conv}")
     atoms = atom_transpositions(u, v)

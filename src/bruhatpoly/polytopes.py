@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter, namedtuple
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations
 from operator import or_
 
@@ -94,21 +94,12 @@ def dimension(u: Perm, v: Perm) -> int:
 # ---------------------------------------------------------------------------
 
 
-class Matroid(namedtuple("Matroid", "n k bases")):  # bases: frozensets of size k
-    @cached_property
-    def _base_masks(self) -> tuple:
-        return tuple(sum(1 << i for i in B) for B in self.bases)
-
-    def rank(self, A) -> int:
-        a = sum(1 << i for i in set(A))
-        return max((a & b).bit_count() for b in self._base_masks)
-
-
-def interval_matroids(I: BruhatInterval, convention: str = "first-values") -> list:
-    """[M_1, ..., M_{n-1}], the matroids the interval sweeps out, from one
-    pass over its elements: each z gives a sequence, and the bases of M_k
-    are its first k entries.  Two conventions appear side by side
-    deliberately (see minkowski_check):
+def interval_matroids(I: BruhatInterval, convention: str) -> list:
+    """[M_1, ..., M_{n-1}], the matroids the interval sweeps out, each a
+    frozenset of base bitmasks, bit a for element a, from one pass over
+    its elements: each z gives a sequence, and the bases of M_k are its
+    first k entries.  Two conventions appear side by side deliberately
+    (see minkowski_check):
       first-values:  z(1), z(2), ...,
       top-positions: z^{-1}(n), z^{-1}(n-1), ...
     """
@@ -118,9 +109,18 @@ def interval_matroids(I: BruhatInterval, convention: str = "first-values") -> li
     bases = [set() for _ in range(1, n)]
     for z in I.order:
         seq = z if convention == "first-values" else [z.index(a) + 1 for a in range(n, 1, -1)]
-        for k, B in enumerate(bases, 1):
-            B.add(frozenset(seq[:k]))
-    return [Matroid(n, k, frozenset(B)) for k, B in enumerate(bases, 1)]
+        m = 0
+        for a, B in zip(seq, bases):
+            m |= 1 << a
+            B.add(m)
+    return [frozenset(B) for B in bases]
+
+
+def rank_sum(matroids, A) -> int:
+    """sum_k r_{M_k}(A) over matroids given as base bitmasks: the rank of
+    A is the most of A that one basis holds."""
+    a = sum(1 << i for i in A)
+    return sum(max((a & b).bit_count() for b in M) for M in matroids)
 
 
 class PolytopeDescription(namedtuple("PolytopeDescription", "vertices equalities inequalities")):
@@ -149,12 +149,12 @@ def bip_inequalities(u: Perm, v: Perm) -> PolytopeDescription:
     """
     n = len(u)
     I = interval(u, v)
-    matroids = interval_matroids(I)
+    matroids = interval_matroids(I, "first-values")
     return PolytopeDescription(
         vertices=I.order,
         equalities=(((1,) * n, n * (n + 1) // 2),),
         inequalities=tuple(
-            (A, sum(M.rank(A) for M in matroids))
+            (A, rank_sum(matroids, A))
             for size in range(1, n) for A in combinations(range(1, n + 1), size)
         ),
     )
@@ -468,7 +468,7 @@ def crown_type(u: Perm, v: Perm) -> int:
 # ---------------------------------------------------------------------------
 
 
-def minkowski_check(u: Perm, v: Perm, convention: str = "top-positions") -> bool:
+def minkowski_check(u: Perm, v: Perm, convention: str) -> bool:
     """Is the polytope of [u, v] a translate of the Minkowski sum of its n-1
     interval matroid polytopes?  Both are generalized permutohedra (edges
     parallel to roots), each fixed by its support function on the 0/1
@@ -483,8 +483,5 @@ def minkowski_check(u: Perm, v: Perm, convention: str = "top-positions") -> bool
     n = len(u)
     I = interval(u, v)
     matroids = interval_matroids(I, convention)
-    d = {
-        A: h - sum(M.rank(A) for M in matroids)
-        for A, h, _F in support(I.order, [range(1, n + 1)])
-    }
+    d = {A: h - rank_sum(matroids, A) for A, h, _F in support(I.order, [range(1, n + 1)])}
     return all(d[A] == sum(d[(i,)] for i in A) for A in d)

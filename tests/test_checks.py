@@ -62,11 +62,10 @@ def test_dimension_pair_sees_a_broken_basis_exchange(monkeypatch):
     # {12, 34} are the bases of no matroid: 12 - 1 + 3 and 12 - 1 + 4 are not bases
     real = polytopes.interval_matroids
 
-    def broken(I, convention="first-values"):
+    def broken(I, convention):
         matroids = real(I, convention)
         if convention == "top-positions":
-            bases = frozenset({frozenset({1, 2}), frozenset({3, 4})})
-            matroids[1] = polytopes.Matroid(4, 2, bases)  # M_2
+            matroids[1] = frozenset({0b110, 0b11000})  # M_2, bases {1, 2} and {3, 4}
         return matroids
 
     monkeypatch.setattr(polytopes, "interval_matroids", broken)
@@ -101,21 +100,10 @@ def test_dimension_pair_sees_a_bound_that_is_not_tight(monkeypatch):
 
 
 def test_dimension_pair_sees_a_matroid_rank_off_by_one(monkeypatch):
-    # the rank of M_2 raised by one on every subset, its bases kept: every
+    # the rank sum raised by one on every subset, the bases kept: every
     # bound goes up by one and the basis exchange still holds
-    real = polytopes.interval_matroids
-
-    class Raised(polytopes.Matroid):
-        def rank(self, A):
-            return super().rank(A) + 1
-
-    def raised(I, convention="first-values"):
-        matroids = real(I, convention)
-        if convention == "first-values":
-            matroids[1] = Raised(*matroids[1])  # M_2
-        return matroids
-
-    monkeypatch.setattr(polytopes, "interval_matroids", raised)
+    real = polytopes.rank_sum
+    monkeypatch.setattr(polytopes, "rank_sum", lambda matroids, A: real(matroids, A) + 1)
     failures = checks.dimension_pair((identity(4), longest_element(4)))["failures"]
     assert len(failures) == 14
     assert failures[0] == "[1234,4321]: bound 4 on [1] is not h = 3"

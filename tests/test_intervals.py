@@ -212,7 +212,8 @@ def test_shared_results_refuse_assignment():
     I = interval(u, v)
     obs = extend_to_special_matching(u, v, (2, 4))
     assert isinstance(obs, MatchingObstruction)
-    values = [*interval_matroids(I), bip_inequalities(u, v), obs, r_polynomial(u, v)]
+    assert all(type(M) is frozenset for M in interval_matroids(I, "first-values"))
+    values = [bip_inequalities(u, v), obs, r_polynomial(u, v)]
     for obj, fields in [(I, I.__slots__), *((x, x._fields) for x in values)]:
         for field in fields:
             with pytest.raises(AttributeError):

@@ -231,7 +231,7 @@ NON_PERM_CALLS = {
     "f_vector": lambda B, u, v, w: B.f_vector(u, v),
     "is_face": lambda B, u, v, w: B.is_face(u, v, u, v),
     "is_toric": lambda B, u, v, w: B.is_toric(u, v),
-    "minkowski_check": lambda B, u, v, w: B.minkowski_check(u, v),
+    "minkowski_check": lambda B, u, v, w: B.minkowski_check(u, v, "top-positions"),
     "normal_cone": lambda B, u, v, w: B.normal_cone(u, v, u, v),
     "vertices": lambda B, u, v, w: B.vertices(u, v),
     "extend_to_special_matching": lambda B, u, v, w: B.extend_to_special_matching(u, v, (1, 2)),

@@ -26,7 +26,6 @@ from bruhatpoly.perms import (
     parse_perm,
 )
 from bruhatpoly.polytopes import (
-    Matroid,
     bip_inequalities,
     block_partition,
     crown_type,
@@ -44,6 +43,7 @@ from bruhatpoly.polytopes import (
     label_partition,
     minkowski_check,
     normal_cone,
+    rank_sum,
     skeleton,
     skeleton_diameter,
     vertices,
@@ -123,28 +123,30 @@ def _satisfied_by_prefixes(desc, w):
     )
 
 
+def _mask(B):
+    return sum(1 << a for a in B)
+
+
 def test_interval_matroid_ranks():
-    M1, M2, _M3 = interval_matroids(interval(P("1324"), P("2431")), convention="first-values")
-    assert set(M1.bases) == {frozenset({1}), frozenset({2})}
-    assert set(M2.bases) == {
-        frozenset(b) for b in ({1, 3}, {1, 4}, {2, 3}, {2, 4})
-    }
-    assert M2.rank((1, 2)) == 1
-    assert M2.rank((3, 4)) == 1
-    assert M2.rank((1, 3)) == 2
+    M1, M2, _M3 = interval_matroids(interval(P("1324"), P("2431")), "first-values")
+    assert M1 == {_mask({1}), _mask({2})}
+    assert M2 == {_mask(B) for B in ({1, 3}, {1, 4}, {2, 3}, {2, 4})}
+    assert rank_sum([M2], (1, 2)) == 1
+    assert rank_sum([M2], (3, 4)) == 1
+    assert rank_sum([M2], (1, 3)) == 2
+    assert rank_sum([M1, M2], (1, 3)) == 3
+
+
+def _sequence(z, convention):
+    """z(1), z(2), ..., z(n), or z^{-1}(n), z^{-1}(n-1), ..., z^{-1}(2)."""
+    n = len(z)
+    return list(z) if convention == "first-values" else [z.index(n - a) + 1 for a in range(n - 1)]
 
 
 def _interval_matroid(u, v, k, convention):
-    """Reference: the rank-k matroid swept out by [u, v], built for this k
-    alone from the element set."""
-    n = len(u)
-    bases = set()
-    for z in interval(u, v).order:
-        if convention == "first-values":
-            bases.add(frozenset(z[:k]))
-        else:
-            bases.add(frozenset(z.index(n - a) + 1 for a in range(k)))
-    return Matroid(n, k, frozenset(bases))
+    """Reference: the bases of the rank-k matroid swept out by [u, v], as
+    bitmasks, built for this k alone from the element set."""
+    return frozenset(_mask(_sequence(z, convention)[:k]) for z in interval(u, v).order)
 
 
 def test_interval_matroids_match_the_per_k_reference():
@@ -161,12 +163,29 @@ def test_interval_matroids_match_the_per_k_reference():
             assert interval_matroids(I, conv) == expected, (u, v, conv)
 
 
+def test_rank_sum_matches_the_prefix_sets():
+    """rank_sum against sum_k max_z |A ∩ {first k entries of z's
+    sequence}| from plain sets: every pair of S_4 and 200 sampled pairs of
+    S_5, both conventions, every nonempty A."""
+    for u, v in (*comparable_pairs(4), *sampled_pairs(5, 200, 7)):
+        n, I = len(u), interval(u, v)
+        for conv in ("first-values", "top-positions"):
+            seqs = [_sequence(z, conv) for z in I.order]
+            matroids = interval_matroids(I, conv)
+            for size in range(1, n + 1):
+                for A in combinations(range(1, n + 1), size):
+                    expected = sum(
+                        max(len(set(A) & set(seq[:k])) for seq in seqs) for k in range(1, n)
+                    )
+                    assert rank_sum(matroids, A) == expected, (u, v, conv, A)
+
+
 def test_interval_matroids_of_s2_is_one_matroid():
     I = interval((1, 2), (2, 1))
-    assert interval_matroids(I) == [Matroid(2, 1, frozenset({frozenset({1}), frozenset({2})}))]
-    assert interval_matroids(I, "top-positions") == interval_matroids(I)
+    assert interval_matroids(I, "first-values") == [frozenset({_mask({1}), _mask({2})})]
+    assert interval_matroids(I, "top-positions") == interval_matroids(I, "first-values")
     assert interval_matroids(interval((2, 1), (2, 1)), "top-positions") == [
-        Matroid(2, 1, frozenset({frozenset({1})}))
+        frozenset({_mask({1})})
     ]
 
 
@@ -543,8 +562,8 @@ def _minkowski_by_points(u, v, convention, extreme_points):
     n = len(u)
     matroids = interval_matroids(interval(u, v), convention)
     sums = {
-        tuple(sum(i in B for B in choice) for i in range(1, n + 1))
-        for choice in product(*(M.bases for M in matroids))
+        tuple(sum(b >> i & 1 for b in choice) for i in range(1, n + 1))
+        for choice in product(*matroids)
     }
     if len(sums) > exactlp.MAX_POINTS:
         return None

@@ -310,13 +310,13 @@ def suite_pairs(name, n=4, pairs=None, jobs=1):
 
 def suite_parabolic(n=4, jobs=1):
     e = identity(n)
-    pairs = comparable_pairs(n) + tuple((z, z) for z in all_perms(n))
     instances = [
         (u, v, J)
         for size in range(1, n)
         for J in combinations(range(1, n), size)
-        for u, v in pairs
+        for v in all_perms(n)
         if parabolic.is_min_rep(v, J)
+        for u in interval(e, v).order
     ]
     results = _map(parabolic_instance, instances, jobs)
     report = _collect("parabolic", n, instances, results)

@@ -35,9 +35,7 @@ def position_blocks(n: int, J) -> tuple:
     are the position blocks permuted by W_J."""
     J = check_subset(n, J)
     cuts = [0, *J, n]
-    return tuple(
-        tuple(range(a + 1, b + 1)) for a, b in zip(cuts, cuts[1:]) if a < b
-    )
+    return tuple(tuple(range(a + 1, b + 1)) for a, b in zip(cuts, cuts[1:]))
 
 
 def min_coset_rep(z: Perm, J) -> Perm:

@@ -2,6 +2,8 @@
 Bruhat side, matroid bases that break the exchange axiom, or a cover table
 with a wrong label make them fail."""
 
+from itertools import combinations, permutations
+
 import pytest
 
 from bruhatpoly import checks, exactlp, parabolic, polytopes, rpoly
@@ -289,3 +291,44 @@ def test_lifting_pair_sees_a_failed_lift(monkeypatch):
 def test_sampler_unranks_in_lexicographic_order():
     S5 = all_perms(5)
     assert [checks._lex_perm(k, 5) for k in range(len(S5))] == S5
+
+
+def _parabolic_instances(n):
+    """Every (u, v, J) of the parabolic suite, from the definitions alone: v
+    increasing inside each position block of J, and u <= v by the tableau
+    criterion (each sorted prefix of u entrywise below v's)."""
+    S = list(permutations(range(1, n + 1)))
+
+    def leq(u, v):
+        return all(all(a <= b for a, b in zip(sorted(u[:k]), sorted(v[:k]))) for k in range(1, n))
+
+    return {
+        (u, v, J)
+        for size in range(1, n)
+        for J in combinations(range(1, n), size)
+        for v in S
+        if all(list(v[a:b]) == sorted(v[a:b]) for a, b in zip((0, *J), (*J, n)))
+        for u in S
+        if leq(u, v)
+    }
+
+
+def _suite_parabolic_instances(monkeypatch, n):
+    """The arguments suite_parabolic(n) hands parabolic_instance, in order."""
+    seen = []
+    monkeypatch.setattr(
+        checks, "parabolic_instance", lambda args: seen.append(args) or {"failures": []}
+    )
+    checks.suite_parabolic(n)
+    return seen
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_suite_parabolic_runs_every_instance_once(monkeypatch, n):
+    seen = _suite_parabolic_instances(monkeypatch, n)
+    assert len(seen) == len(set(seen))
+    assert set(seen) == _parabolic_instances(n)
+
+
+def test_suite_parabolic_runs_13175_instances_at_n5(monkeypatch):
+    assert len(_suite_parabolic_instances(monkeypatch, 5)) == 13175

@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bruhatpoly"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # the most lines src/bruhatpoly/*.py may hold together, as wc -l counts them
-LINE_CEILING = 2451
+LINE_CEILING = 2449
 # where a public name of the package may be read: the package itself, the
 # demos, and the benchmark, which calls workers by their names in strings
 READERS = sorted([*SRC.glob("*.py"), *ROOT.glob("demos/*.py"), *ROOT.glob("bench/*.py")])

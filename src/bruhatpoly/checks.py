@@ -362,20 +362,18 @@ def minkowski_experiment(n=4, jobs=1):
     }
 
 
+def _report_of(parts, **head):
+    """The report of several suites: head's items, then the parts, passing
+    iff every part does."""
+    return {**head, "parts": parts, "pass": all(p["pass"] for p in parts)}
+
+
 def suite_sampled(n=5, sample=500, seed=7, jobs=1):
     """The sampled large-n suite: every suite of PAIR_SUITES, with its
     sampled worker, on one draw of seeded comparable pairs."""
     pairs = sampled_pairs(n, sample, seed)
     parts = [suite_pairs(suite, n, pairs, jobs) for suite in PAIR_SUITES]
-    return {
-        "suite": "sampled",
-        "n": n,
-        "sample": sample,
-        "seed": seed,
-        "pairs": len(pairs),
-        "parts": parts,
-        "pass": all(p["pass"] for p in parts),
-    }
+    return _report_of(parts, suite="sampled", n=n, sample=sample, seed=seed, pairs=len(pairs))
 
 
 def run_suite(name, n=4, sample=None, seed=7, jobs=1):
@@ -394,13 +392,6 @@ def run_suite(name, n=4, sample=None, seed=7, jobs=1):
         return suite_pairs(name, n, jobs=jobs)
     if name == "parabolic":
         return suite_parabolic(n, jobs=jobs)
-    parts = [suite_pairs(suite, n, jobs=jobs) for suite in PAIR_SUITES] + [
-        suite_parabolic(n, jobs=jobs),
-        minkowski_experiment(n, jobs=jobs),
-    ]
-    return {
-        "suite": "all",
-        "n": n,
-        "parts": parts,
-        "pass": all(p["pass"] for p in parts),
-    }
+    parts = [suite_pairs(suite, n, jobs=jobs) for suite in PAIR_SUITES]
+    parts += [suite_parabolic(n, jobs=jobs), minkowski_experiment(n, jobs=jobs)]
+    return _report_of(parts, suite="all", n=n)

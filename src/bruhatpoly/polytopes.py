@@ -17,9 +17,8 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter, namedtuple
-from functools import reduce
 from itertools import combinations
-from operator import or_
+from operator import and_
 
 from . import exactlp
 from .errors import DomainError
@@ -392,21 +391,37 @@ def skeleton_diameter(adj):
     return steps
 
 
+def _deep_reach(n, arcs):
+    """deep[s], the values that paths of two or more arcs reach from s, for
+    arcs s -> t, s < t, on 1..n held as bitsets arcs[s] of the t; an arc
+    s -> t is in the transitive reduction iff t is not in deep[s]."""
+    reach, deep = [0] * (n + 1), [0] * (n + 1)
+    for s in range(n, 0, -1):
+        m = arcs[s]
+        while m:
+            low = m & -m
+            deep[s] |= reach[low.bit_length() - 1]
+            m ^= low
+        reach[s] = deep[s] | arcs[s]
+    return deep
+
+
 def skeleton(I: BruhatInterval):
     """The 1-skeleton of the polytope of I as bitset rows, bit j of row i
-    for an edge order[i] - order[j]: its edges are the covers that pass the
-    face criterion.  A cover's inner partition joins only its label (a, b),
-    so b's block is a's and every other position is a node of its own."""
-    n = len(I.u)
-    up_labels = [[t for _k, t in row] for row in I.up]
-    parts, adj = {}, [0] * len(I)
-    for i, row in enumerate(I.up):
+    for an edge order[i] - order[j].  Edges are covers, parallel to roots,
+    so those at x are the extreme rays of its tangent cone: the arcs, all
+    raising the value, x(a) -> x(b) for a cover x(a, b) and x(d) -> x(c)
+    for a cocover x(c, d), c < d, that no longer path joins."""
+    n, adj = len(I.u), [0] * len(I)
+    for i, (x, row, down) in enumerate(zip(I.order, I.up, I.down)):
+        arcs = [0] * (n + 1)
+        for _j, (a, b) in row:
+            arcs[x[a - 1]] |= 1 << x[b - 1]
+        for c, d in down:
+            arcs[x[d - 1]] |= 1 << x[c - 1]
+        deep = _deep_reach(n, arcs)
         for j, (a, b) in row:
-            if (a, b) not in parts:
-                rep = tuple(a if k == b else k for k in range(1, n + 1))
-                parts[a, b] = rep, sum(1 << r for r in set(rep))
-            rep, nodes = parts[a, b]
-            if _kahn_order((rep, nodes, _face_pred(n, rep, up_labels[j], I.down[i]))) is not None:
+            if not deep[x[a - 1]] >> x[b - 1] & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
@@ -432,20 +447,14 @@ def is_toric(u: Perm, v: Perm) -> bool:
 def increasing_cycle_free(n, labels) -> bool:
     """No cycle (v0, v1, ..., v_{k-1}, v0) with v0 < v1 < ... < v_{k-1} in
     the graph on {1..n} with one edge per label (a, b); a repeated label
-    counts as an increasing 2-cycle.  reach[a], filled from n down, holds
-    the ends of increasing paths from a; an edge a < b closes a cycle iff
-    another neighbour c < b of a reaches b."""
+    counts as an increasing 2-cycle.  With every edge an arc up, such a
+    cycle is an arc v0 -> v_{k-1} that a path of k - 1 >= 2 arcs also joins."""
     if len(labels) != len(set(labels)):
         return False
-    higher, reach = [0] * (n + 1), [0] * (n + 1)
+    arcs = [0] * (n + 1)
     for a, b in map(sorted, labels):
-        higher[a] |= 1 << b
-    for a in range(n, 0, -1):
-        cs = list(_bits(higher[a]))
-        if any(reach[c] >> b & 1 for b in cs for c in cs if c < b):
-            return False
-        reach[a] = reduce(or_, (reach[c] for c in cs), 1 << a)
-    return True
+        arcs[a] |= 1 << b
+    return not any(map(and_, arcs, _deep_reach(n, arcs)))
 
 
 def crown_type(u: Perm, v: Perm) -> int:

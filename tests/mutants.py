@@ -39,6 +39,7 @@ RPOLY = "src/bruhatpoly/rpoly.py"
 INTERVALS = "src/bruhatpoly/intervals.py"
 INSTANCES = "tests/test_checks.py::test_suite_parabolic_runs_every_instance_once"
 PER_K = "tests/test_polytopes.py::test_interval_matroids_match_the_per_k_reference"
+TWO_VERTEX = "tests/test_polytopes.py::test_skeleton_edges_are_the_two_vertex_faces"
 
 MUTANTS = [
     # the parabolic suite's instances, read off [e, v]
@@ -77,6 +78,11 @@ MUTANTS = [
     # value 1's position is the n-th entry, past every prefix of length <= n - 1
     Mutant("top-positions down to value 1", POLYTOPES,
            "for a in range(n, 1, -1)]", "for a in range(n, 0, -1)]", PER_K, equivalent=True),
+    # the 1-skeleton from each vertex's tangent cone
+    Mutant("skeleton without the cocover arcs", POLYTOPES,
+           "        for c, d in down:\n            arcs[x[d - 1]] |= 1 << x[c - 1]\n", "", TWO_VERTEX),
+    Mutant("reach only one arc deep", POLYTOPES,
+           "reach[s] = deep[s] | arcs[s]", "reach[s] = arcs[s]", TWO_VERTEX),
 ]
 
 

@@ -154,21 +154,16 @@ def test_dimension_pair_counts_every_maximal_chain(n, step, maximal_chains):
         assert checks.dimension_pair(pair) == {"chains": len(chains), "failures": []}, pair
 
 
+def _without_edges_at_v(adj):
+    top = len(adj) - 1
+    return [row & ~(1 << top) for row in adj[:top]] + [0]
+
+
 def test_faces_pair_sees_a_vertex_without_an_edge(monkeypatch):
-    # a self-loop on every cover into v: the coatoms lose their only edge
-    # up and v all its edges, so the skeleton falls apart.  The face graph
-    # of [x, y] is a cover into v when y has no covers up and x's partition
-    # has n - 1 blocks
-    real = polytopes._face_pred
-
-    def looped(n, rep, up_y, down_x):
-        pred = real(n, rep, up_y, down_x)
-        if not up_y and len(set(rep)) == n - 1:
-            r = rep[0]
-            pred = pred[:r] + (pred[r] | 1 << r,) + pred[r + 1:]
-        return pred
-
-    monkeypatch.setattr(polytopes, "_face_pred", looped)
+    # the skeleton without the covers into v: the coatoms lose their only
+    # edge up and v all its edges, so the skeleton falls apart
+    real = polytopes.skeleton
+    monkeypatch.setattr(polytopes, "skeleton", lambda I: _without_edges_at_v(real(I)))
     failures = checks.faces_pair((identity(3), longest_element(3)))["failures"]
     assert "[123,321]: 1-skeleton is disconnected" in failures
     assert [f for f in failures if f.endswith("misses an edge")] == [
@@ -183,11 +178,6 @@ def _without_edge_at_e(adj):
     adj[0] &= ~(1 << k)
     adj[k] &= ~1
     return adj
-
-
-def _without_edges_at_v(adj):
-    top = len(adj) - 1
-    return [row & ~(1 << top) for row in adj[:top]] + [0]
 
 
 @pytest.mark.parametrize("cut, d", [(_without_edge_at_e, 5), (_without_edges_at_v, None)])

@@ -33,6 +33,7 @@ from bruhatpoly.polytopes import (
     dimension,
     enumerate_faces,
     f_vector,
+    face_graph,
     face_graphs,
     format_partition,
     increasing_cycle_free,
@@ -482,6 +483,38 @@ def test_skeleton_edges_are_the_two_vertex_faces():
         assert V == list(I.order)
         edges = {1 << i | 1 << j for i, row in enumerate(skeleton(I)) for j in _bits(row)}
         assert edges == {F for F in lattice if F.bit_count() == 2}, (u, v)
+
+
+def test_skeleton_matches_the_per_cover_face_criterion():
+    """The tangent-cone skeleton against the face criterion, one face graph
+    per cover x < y: the cover is an edge iff its face graph is acyclic.
+    Every comparable pair of S_4, every 10th of S_5, 20 seeded S_6 pairs."""
+    pairs = comparable_pairs(4) + comparable_pairs(5)[::10] + sampled_pairs(6, 20, 7)
+    covers = 0
+    for u, v in pairs:
+        I = interval(u, v)
+        adj = skeleton(I)
+        for i, row in enumerate(I.up):
+            for j, _t in row:
+                G = face_graph(I.order[i], I.order[j], u, v)
+                assert bool(adj[i] >> j & 1) == is_acyclic(G), (u, v, I.order[i], I.order[j])
+                covers += 1
+    assert covers == 17_860
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_skeleton_of_the_permutohedron(n):
+    """At [e, w0] the polytope is the permutohedron, whose edges join the
+    permutations that differ by swapping two consecutive values, n - 1 at
+    each vertex (Ziegler, Lectures on Polytopes, Example 0.10)."""
+    I = interval(identity(n), longest_element(n))
+    adj = skeleton(I)
+    assert len(adj) == factorial(n)
+    for i, row in enumerate(adj):
+        assert row.bit_count() == n - 1, I.order[i]
+        for j in _bits(row):
+            swapped = [(a, b) for a, b in zip(I.order[i], I.order[j]) if a != b]
+            assert len(swapped) == 2 and abs(swapped[0][0] - swapped[0][1]) == 1, (i, j)
 
 
 def test_diameter_of_s6_is_its_rank():

@@ -487,18 +487,22 @@ def test_skeleton_edges_are_the_two_vertex_faces():
 
 def test_skeleton_matches_the_per_cover_face_criterion():
     """The tangent-cone skeleton against the face criterion, one face graph
-    per cover x < y: the cover is an edge iff its face graph is acyclic.
-    Every comparable pair of S_4, every 10th of S_5, 20 seeded S_6 pairs."""
+    per cover x < y: the cover is an edge iff its face graph is acyclic,
+    and no other pair is.  Every comparable pair of S_4, every 10th of S_5
+    and 20 seeded S_6 pairs."""
     pairs = comparable_pairs(4) + comparable_pairs(5)[::10] + sampled_pairs(6, 20, 7)
     covers = 0
     for u, v in pairs:
         I = interval(u, v)
         adj = skeleton(I)
+        edges = 0
         for i, row in enumerate(I.up):
             for j, _t in row:
-                G = face_graph(I.order[i], I.order[j], u, v)
-                assert bool(adj[i] >> j & 1) == is_acyclic(G), (u, v, I.order[i], I.order[j])
+                edge = is_acyclic(face_graph(I.order[i], I.order[j], u, v))
+                assert bool(adj[i] >> j & 1) == edge, (u, v, I.order[i], I.order[j])
+                edges += edge
                 covers += 1
+        assert sum(map(int.bit_count, adj)) == 2 * edges, (u, v)
     assert covers == 17_860
 
 
